@@ -88,6 +88,20 @@ validateMultiscalarConfig(const MultiscalarConfig &cfg)
         mdp_fatal("stageWindow must be >= 1 (got %u)", cfg.stageWindow);
     if (cfg.memPorts < 1)
         mdp_fatal("memPorts must be >= 1 (got %u)", cfg.memPorts);
+    // A class with no functional unit never issues, so the run would
+    // spin to the cycle cap instead of failing.
+    if (cfg.simpleIntFUs < 1) {
+        mdp_fatal("simpleIntFUs must be >= 1 (got %u)",
+                  cfg.simpleIntFUs);
+    }
+    if (cfg.complexIntFUs < 1) {
+        mdp_fatal("complexIntFUs must be >= 1 (got %u)",
+                  cfg.complexIntFUs);
+    }
+    if (cfg.fpFUs < 1)
+        mdp_fatal("fpFUs must be >= 1 (got %u)", cfg.fpFUs);
+    if (cfg.branchFUs < 1)
+        mdp_fatal("branchFUs must be >= 1 (got %u)", cfg.branchFUs);
     if (cfg.banksPerStage < 1) {
         mdp_fatal("banksPerStage must be >= 1 (got %u)",
                   cfg.banksPerStage);
@@ -95,6 +109,10 @@ validateMultiscalarConfig(const MultiscalarConfig &cfg)
     if (!isPowerOfTwo(cfg.blockBytes)) {
         mdp_fatal("blockBytes must be a power of two (got %u)",
                   cfg.blockBytes);
+    }
+    if (cfg.bankBytes < cfg.blockBytes) {
+        mdp_fatal("bankBytes must be >= blockBytes=%u (got %u)",
+                  cfg.blockBytes, cfg.bankBytes);
     }
     if (cfg.arbShards != 0 && !isPowerOfTwo(cfg.arbShards)) {
         mdp_fatal("arbShards must be 0 (auto) or a power of two "

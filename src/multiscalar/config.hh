@@ -131,16 +131,6 @@ struct MultiscalarConfig
     bool fastForward = true;
 
     /**
-     * Intra-run parallelism: worker count for the per-cycle readiness
-     * precompute over the stage windows (MDP_INTRA_JOBS; the harness
-     * plumbs the env knob in).  1 is today's serial path; N > 1 runs
-     * the read-only phase on a persistent worker set with a
-     * deterministic serial issue phase behind it, so results are
-     * byte-identical at every setting.
-     */
-    unsigned intraJobs = 1;
-
-    /**
      * Per-PE event frontier: park each quiescent stage at the exact
      * cycle its next time-gated predicate can flip and step only due
      * stages, so the per-cycle cost is O(active PEs) instead of

@@ -85,18 +85,6 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
     frontierBlocked.reserve(window_cap);
     syncBlocked.reserve(window_cap);
 
-    if (cfg.intraJobs > 1) {
-        intraPool = std::make_unique<ThreadPool>(cfg.intraJobs);
-        readyBufs.resize(cfg.numStages);
-        for (ReadyBuf &buf : readyBufs) {
-            buf.seq.reserve(cfg.stageWindow);
-            buf.ready.reserve(cfg.stageWindow);
-        }
-        // Stamp 0 never equals a live cycle (cycle pre-increments to
-        // 1), so all buffers start stale.
-        bufStamp.assign(cfg.numStages, 0);
-    }
-
     policy = makeDependencePolicy(
         resolvePolicyName(cfg.policyName, cfg.policy));
     if (policy->needsSynchronizer()) {
@@ -208,7 +196,6 @@ MultiscalarProcessor::stepCycle()
     sequencerStep();
     if (frontierOn)
         collectDue();
-    readyPrecompute();
     if (frontierOn) {
         // O(active-PE) path: visit only the stages whose frontier
         // entry is due.  Stages are visited in the same circular
@@ -331,7 +318,7 @@ MultiscalarProcessor::stageNextInteresting(unsigned k, uint64_t cap) const
 }
 
 uint64_t
-MultiscalarProcessor::nextInterestingCycle(uint64_t cap) const
+MultiscalarProcessor::globalNextInteresting(uint64_t cap) const
 {
     uint64_t next = cap + 1;
     auto consider = [&](uint64_t c) {
@@ -343,12 +330,9 @@ MultiscalarProcessor::nextInterestingCycle(uint64_t cap) const
     if (mispredictStall && mispredictResume != 0)
         consider(mispredictResume);
 
-    for (unsigned k = 0; k < cfg.numStages; ++k)
-        consider(stageNextInteresting(k, cap));
-
     // Head-task commit waits for its last completion to land.  This
-    // is a global term (headness flips at commit time without any
-    // per-stage event), shared with frontierJumpTarget.
+    // is a global term: headness flips at commit time without any
+    // per-stage event.
     if (committedTasks < nextTask) {
         uint32_t h = static_cast<uint32_t>(committedTasks);
         const Stage &hs = stages[h % cfg.numStages];
@@ -365,28 +349,18 @@ MultiscalarProcessor::nextInterestingCycle(uint64_t cap) const
 }
 
 uint64_t
+MultiscalarProcessor::nextInterestingCycle(uint64_t cap) const
+{
+    uint64_t next = globalNextInteresting(cap);
+    for (unsigned k = 0; k < cfg.numStages; ++k)
+        next = std::min(next, stageNextInteresting(k, cap));
+    return next;
+}
+
+uint64_t
 MultiscalarProcessor::frontierJumpTarget(uint64_t cap)
 {
-    uint64_t next = cap + 1;
-    auto consider = [&](uint64_t c) {
-        if (c > cycle && c < next)
-            next = c;
-    };
-
-    // Global (non-per-stage) terms, identical to nextInterestingCycle.
-    if (mispredictStall && mispredictResume != 0)
-        consider(mispredictResume);
-    if (committedTasks < nextTask) {
-        uint32_t h = static_cast<uint32_t>(committedTasks);
-        const Stage &hs = stages[h % cfg.numStages];
-        if (hs.task == static_cast<int64_t>(committedTasks)) {
-            const TaskRun &tr = taskRun[h];
-            if (tr.issuedOps == tasks.taskSize(h))
-                consider(tr.lastDone);
-        }
-    }
-    if (sync)
-        consider(sync->nextWakeupCycle());
+    uint64_t next = globalNextInteresting(cap);
 
     // Per-stage terms come from the frontier.  Park times are
     // conservative-early (stored <= the exact per-stage event time),
@@ -402,7 +376,7 @@ MultiscalarProcessor::frontierJumpTarget(uint64_t cap)
         if (exact <= t) {
             // Hint confirmed (exact == t under the conservative-early
             // invariant); this is the jump target.
-            consider(exact);
+            next = std::min(next, exact);
             break;
         }
         peFrontier->schedule(id, exact);
@@ -755,8 +729,8 @@ MultiscalarProcessor::executeStore(SeqNum seq)
 // Memory-ordering helpers
 // ---------------------------------------------------------------------
 
-bool
-MultiscalarProcessor::taskStoresDoneBefore(uint32_t t, SeqNum seq)
+uint64_t
+MultiscalarProcessor::firstUnexecutedStore(uint32_t t)
 {
     const std::vector<SeqNum> &stores = tasks.stores(t);
     TaskRun &tr = taskRun[t];
@@ -764,7 +738,13 @@ MultiscalarProcessor::taskStoresDoneBefore(uint32_t t, SeqNum seq)
            state.test(stores[tr.storePtr], kIssued)) {
         ++tr.storePtr;
     }
-    return tr.storePtr >= stores.size() || stores[tr.storePtr] >= seq;
+    return tr.storePtr < stores.size() ? stores[tr.storePtr] : UINT64_MAX;
+}
+
+bool
+MultiscalarProcessor::taskStoresDoneBefore(uint32_t t, SeqNum seq)
+{
+    return firstUnexecutedStore(t) >= seq;
 }
 
 bool
@@ -782,18 +762,9 @@ uint64_t
 MultiscalarProcessor::storeFrontierBound()
 {
     uint64_t bound = UINT64_MAX;
-    for (uint64_t t = committedTasks; t < nextTask; ++t) {
-        uint32_t tt = static_cast<uint32_t>(t);
-        const std::vector<SeqNum> &stores = tasks.stores(tt);
-        TaskRun &tr = taskRun[tt];
-        while (tr.storePtr < stores.size() &&
-               state.test(stores[tr.storePtr], kIssued)) {
-            ++tr.storePtr;
-        }
-        if (tr.storePtr < stores.size())
-            bound = std::min(bound,
-                             static_cast<uint64_t>(stores[tr.storePtr]));
-    }
+    for (uint64_t t = committedTasks; t < nextTask; ++t)
+        bound = std::min(bound,
+                         firstUnexecutedStore(static_cast<uint32_t>(t)));
     return bound;
 }
 
@@ -816,18 +787,12 @@ MultiscalarProcessor::storeFrontierBoundFast()
             storeHeap.pop_back();
             continue;
         }
-        const std::vector<SeqNum> &stores = tasks.stores(tt);
-        TaskRun &tr = taskRun[tt];
-        while (tr.storePtr < stores.size() &&
-               state.test(stores[tr.storePtr], kIssued)) {
-            ++tr.storePtr;
-        }
-        if (tr.storePtr >= stores.size()) {
+        uint64_t truth = firstUnexecutedStore(tt);
+        if (truth == UINT64_MAX) {
             std::pop_heap(storeHeap.begin(), storeHeap.end(), cmp);
             storeHeap.pop_back();
             continue;
         }
-        uint64_t truth = stores[tr.storePtr];
         if (truth == key)
             return key;
         std::pop_heap(storeHeap.begin(), storeHeap.end(), cmp);
@@ -842,94 +807,12 @@ MultiscalarProcessor::storeFrontierBoundFast()
 // ---------------------------------------------------------------------
 
 void
-MultiscalarProcessor::readyPrecompute()
-{
-    readyValid = false;
-    if (!intraPool)
-        return;
-
-    // In frontier mode only the due stages get stepped this cycle, so
-    // only they need verdicts.  The occupancy sum then differs from
-    // the reference's all-stage sum, which is invisible: the verdicts
-    // themselves are identical and a cache miss in issueOne falls back
-    // to the same live evaluation.
-    auto forEachActive = [&](auto &&fn) {
-        if (frontierOn) {
-            for (size_t i = 0; i < duePos.size(); ++i)
-                fn(static_cast<unsigned>((duePos[i] + baseSlot) %
-                                         cfg.numStages));
-        } else {
-            for (unsigned k = 0; k < cfg.numStages; ++k)
-                fn(k);
-        }
-    };
-
-    // Below this occupancy the fan-out overhead dominates; skipping is
-    // invisible (stageStep just evaluates live, same verdicts).
-    uint64_t occupancy = 0;
-    forEachActive([&](unsigned k) {
-        const Stage &st = stages[k];
-        if (st.task >= 0 && cycle >= st.resumeCycle)
-            occupancy += st.fetchPtr - st.windowBase;
-    });
-    if (occupancy < kIntraMinOccupancy)
-        return;
-
-    forEachActive([&](unsigned k) {
-        ReadyBuf &buf = readyBufs[k];
-        buf.seq.clear();
-        buf.ready.clear();
-        buf.cursor = 0;
-        bufStamp[k] = cycle;
-        const Stage &st = stages[k];
-        if (st.task < 0 || cycle < st.resumeCycle)
-            return;
-        // Workers only read the op-state lanes and write their own
-        // stage's buffer; the main thread blocks in wait(), so the
-        // fan-out is race-free and the buffer contents do not depend
-        // on worker scheduling.
-        intraPool->submit(
-            [this, &buf, base = st.windowBase, end = st.fetchPtr]() {
-                for (SeqNum seq =
-                         static_cast<SeqNum>(simd::nextReadyCandidate(
-                             state.flagsData(), base, end,
-                             kNotIssuable));
-                     seq < end;
-                     seq = static_cast<SeqNum>(simd::nextReadyCandidate(
-                         state.flagsData(), seq + 1, end,
-                         kNotIssuable))) {
-                    buf.seq.push_back(seq);
-                    buf.ready.push_back(srcsReady(seq) ? 1 : 0);
-                }
-            });
-    });
-    intraPool->wait();
-    readyValid = true;
-}
-
-void
 MultiscalarProcessor::stageStep(unsigned stage_idx)
 {
     Stage &stage = stages[stage_idx];
     if (stage.task < 0 || cycle < stage.resumeCycle)
         return;
 
-    // The phase-A verdict cache costs a revalidation load on every
-    // candidate, so the scan is instantiated separately for the
-    // serial path, which pays nothing for the intra-run machinery.
-    // A stage spliced into the due list mid-cycle (same-cycle wake)
-    // was absent when phase A ran, so its buffer holds a previous
-    // cycle's verdicts; the stamp check forces the live path there.
-    if (readyValid && !readyBufs.empty() && bufStamp[stage_idx] == cycle)
-        issueScan<true>(stage, stage_idx);
-    else
-        issueScan<false>(stage, stage_idx);
-}
-
-template <bool UsePhaseA>
-void
-MultiscalarProcessor::issueScan(Stage &stage, unsigned stage_idx)
-{
     uint32_t t = static_cast<uint32_t>(stage.task);
     SeqNum end = tasks.taskEnd(t);
 
@@ -960,8 +843,6 @@ MultiscalarProcessor::issueScan(Stage &stage, unsigned stage_idx)
            fv.test(stage.windowBase, kIssued))
         ++stage.windowBase;
 
-    ReadyBuf *cache = UsePhaseA ? &readyBufs[stage_idx] : nullptr;
-
     // Adaptive scan.  The usual span is ~2x occupancy (issued holes),
     // where a fused scalar loop -- one masked lane test per element
     // through a pinned-base view -- is cheapest.  A load blocked at
@@ -978,9 +859,8 @@ MultiscalarProcessor::issueScan(Stage &stage, unsigned stage_idx)
              seq < stage.fetchPtr && issued < cfg.issueWidth; ++seq) {
             if (fv.test(seq, kNotIssuable))
                 continue;
-            issueOne<UsePhaseA>(seq, t, stage, cache, simple_fu,
-                                complex_fu, fp_fu, branch_fu, mem_ports,
-                                issued);
+            issueOne(seq, t, stage, simple_fu, complex_fu, fp_fu,
+                     branch_fu, mem_ports, issued);
         }
     } else {
         for (SeqNum seq = static_cast<SeqNum>(simd::nextReadyCandidate(
@@ -990,49 +870,21 @@ MultiscalarProcessor::issueScan(Stage &stage, unsigned stage_idx)
              seq = static_cast<SeqNum>(simd::nextReadyCandidate(
                  state.flagsData(), seq + 1, stage.fetchPtr,
                  kNotIssuable))) {
-            issueOne<UsePhaseA>(seq, t, stage, cache, simple_fu,
-                                complex_fu, fp_fu, branch_fu, mem_ports,
-                                issued);
+            issueOne(seq, t, stage, simple_fu, complex_fu, fp_fu,
+                     branch_fu, mem_ports, issued);
         }
     }
 }
 
 /** One issue attempt for a scan candidate; shared by both drivers. */
-template <bool UsePhaseA>
 __attribute__((always_inline)) inline void
 MultiscalarProcessor::issueOne(SeqNum seq, uint32_t t, Stage &stage,
-                               ReadyBuf *cache, unsigned &simple_fu,
-                               unsigned &complex_fu, unsigned &fp_fu,
-                               unsigned &branch_fu, unsigned &mem_ports,
-                               unsigned &issued)
+                               unsigned &simple_fu, unsigned &complex_fu,
+                               unsigned &fp_fu, unsigned &branch_fu,
+                               unsigned &mem_ports, unsigned &issued)
 {
-    {
-        bool ready;
-        if (UsePhaseA) {
-            // Phase-A cached verdict, revalidated per candidate: a
-            // squash during this cycle drops the cache (producers may
-            // have been un-issued), and anything fetched after phase
-            // A is simply absent from the buffer.
-            if (readyValid) {
-                while (cache->cursor < cache->seq.size() &&
-                       cache->seq[cache->cursor] < seq)
-                    ++cache->cursor;
-                if (cache->cursor < cache->seq.size() &&
-                    cache->seq[cache->cursor] == seq) {
-                    ready = cache->ready[cache->cursor] != 0;
-                    ++cache->cursor;
-                } else {
-                    ready = srcsReady(seq);
-                }
-            } else {
-                ready = srcsReady(seq);
-            }
-        } else {
-            ready = srcsReady(seq);
-        }
-        if (!ready)
-            return;
-    }
+    if (!srcsReady(seq))
+        return;
 
     const OpKind kind = trc.kind(seq);
     if (isMem(kind)) {
@@ -1296,10 +1148,6 @@ MultiscalarProcessor::squashFrom(SeqNum squash_start)
             }
         }
     }
-
-    // Squashing un-issues producers, so any phase-A readiness verdicts
-    // computed before this point are stale.
-    readyValid = false;
 
     // Purge bookkeeping that refers to squashed operations.
     std::erase_if(frontierBlocked,

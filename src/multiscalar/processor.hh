@@ -22,7 +22,6 @@
 
 #include "base/event_frontier.hh"
 #include "base/soa_lanes.hh"
-#include "base/thread_pool.hh"
 #include "mdp/dep_policy.hh"
 #include "mdp/sync_unit.hh"
 #include "multiscalar/arb.hh"
@@ -125,42 +124,15 @@ class MultiscalarProcessor : public TaskPcSource
     // --- per-cycle phases -------------------------------------------
     void sequencerStep();
 
-    /**
-     * Intra-run parallel phase A: precompute the srcsReady verdict of
-     * every issue candidate in every active stage window, fanned out
-     * over the persistent worker set (cfg.intraJobs > 1).  Strictly
-     * read-only on the op-state lanes; each worker writes only its own
-     * stage's ReadyBuf, so the fan-out is race-free and the buffers
-     * are deterministic regardless of worker scheduling.  stageStep
-     * (phase B, serial, deterministic stage order) consumes the cached
-     * verdicts and falls back to live evaluation for ops the cache
-     * missed; a squash invalidates the whole cache (readyValid) since
-     * it un-issues producers.  Cached and live verdicts agree because
-     * an op issued in phase B completes strictly after the current
-     * cycle, so it cannot flip a same-cycle srcsReady outcome.
-     */
-    void readyPrecompute();
-
+    /** Fetch into, then issue from, the window of stage @p stage_idx. */
     void stageStep(unsigned stage_idx);
 
-    /**
-     * The fetch + issue scan body of stageStep, instantiated twice:
-     * UsePhaseA=true consults (and revalidates) the phase-A verdict
-     * buffer; UsePhaseA=false is the serial path with no trace of the
-     * intra-run machinery in its inner loop.
-     */
-    template <bool UsePhaseA>
-    void issueScan(Stage &stage, unsigned stage_idx);
-
-    struct ReadyBuf;
-
-    /** One issue attempt for a scan candidate (see issueScan).
-     *  Force-inlined: the out-of-line form passes ten live references
-     *  per candidate and spills the FU budget out of registers, which
+    /** One issue attempt for a scan candidate (see stageStep).
+     *  Force-inlined: the out-of-line form passes the FU budgets by
+     *  reference per candidate and spills them out of registers, which
      *  costs a few percent of the whole run on the dense benches. */
-    template <bool UsePhaseA>
     __attribute__((always_inline)) inline
-    void issueOne(SeqNum seq, uint32_t t, Stage &stage, ReadyBuf *cache,
+    void issueOne(SeqNum seq, uint32_t t, Stage &stage,
                   unsigned &simple_fu, unsigned &complex_fu,
                   unsigned &fp_fu, unsigned &branch_fu,
                   unsigned &mem_ports, unsigned &issued);
@@ -201,6 +173,14 @@ class MultiscalarProcessor : public TaskPcSource
      * frontier path uses it as the exact park time of one stage.
      */
     uint64_t stageNextInteresting(unsigned k, uint64_t cap) const;
+
+    /**
+     * The global (non-per-stage) portion of nextInterestingCycle():
+     * sequencer recovery, head-task commit and the synchronizer's
+     * timed wakeup, with the same "strictly after the current cycle"
+     * filter; @p cap + 1 when none.  Shared by both jump-target paths.
+     */
+    uint64_t globalNextInteresting(uint64_t cap) const;
 
     /**
      * Frontier-mode jump target: the global O(1) terms (sequencer
@@ -266,6 +246,12 @@ class MultiscalarProcessor : public TaskPcSource
     void executeStore(SeqNum seq);
 
     // --- memory-ordering helpers ------------------------------------
+    /**
+     * Advance task @p t's storePtr past its executed stores and return
+     * the seq of its first unexecuted store (UINT64_MAX when none).
+     */
+    uint64_t firstUnexecutedStore(uint32_t t);
+
     /** All stores of task @p t older than @p seq have executed. */
     bool taskStoresDoneBefore(uint32_t t, SeqNum seq);
 
@@ -307,33 +293,6 @@ class MultiscalarProcessor : public TaskPcSource
     OpLanes state;
     std::vector<TaskRun> taskRun;
     std::vector<Stage> stages;
-
-    // --- intra-run parallelism (phase A cache) ----------------------
-    /** Cached issue candidates of one stage, ascending seq order. */
-    struct ReadyBuf
-    {
-        std::vector<SeqNum> seq;
-        std::vector<uint8_t> ready;
-        size_t cursor = 0;
-    };
-
-    /** Workers for readyPrecompute(); null when cfg.intraJobs <= 1. */
-    std::unique_ptr<ThreadPool> intraPool;
-    std::vector<ReadyBuf> readyBufs;
-    /** The phase-A cache matches this cycle's pre-issue state; cleared
-     *  by squashes (and by skipping the precompute). */
-    bool readyValid = false;
-
-    /** Cycle each ReadyBuf was last refreshed.  The frontier path only
-     *  refreshes due stages, and a stage spliced into the due walk
-     *  mid-cycle has no verdicts at all -- a stale buffer must fall
-     *  back to live evaluation, never be consulted. */
-    std::vector<uint64_t> bufStamp;
-
-    /** Total window occupancy below which the parallel precompute is
-     *  skipped (fan-out overhead would dominate; verdicts are
-     *  identical either way, so the threshold cannot change results). */
-    static constexpr uint64_t kIntraMinOccupancy = 32;
 
     MemorySystem memsys;
     ShardedArb arb;

@@ -16,12 +16,8 @@ LockstepEvaluator::LockstepEvaluator(const WorkloadContext &ctx,
     for (const LockstepJob &j : jobSpecs) {
         Lane lane;
         if (j.model == LockstepJob::Model::Multiscalar) {
-            // Lanes already parallelize across the server's job pool;
-            // nesting per-lane intra-run workers would oversubscribe.
-            MultiscalarConfig ms = j.ms;
-            ms.intraJobs = 1;
             lane.ms = std::make_unique<MultiscalarProcessor>(
-                ctx.trace(), ctx.oracle(), ctx.tasks(), ms,
+                ctx.trace(), ctx.oracle(), ctx.tasks(), j.ms,
                 &lanePool);
         } else {
             lane.ooo = std::make_unique<OooProcessor>(

@@ -20,7 +20,8 @@ struct BadFrontier
     uint64_t
     jitterSeed() const
     {
-        auto now = std::chrono::steady_clock::now(); // expect: frontier-order nondet-source
+        auto now = std::chrono::
+            steady_clock::now(); // expect: frontier-order nondet-source
         return static_cast<uint64_t>(
             now.time_since_epoch().count());
     }

@@ -1,10 +1,8 @@
-// Fixture: both halves of the soa-sync rule.  Raw index arithmetic
-// on the lane escape hatches bypasses the OpLanes invariants (only
-// src/base/ may do it), and an unordered-container walk inside the
-// parallel readiness phase would leak hash order into the cached
-// issue verdicts.  The readyPrecompute walks also trip the generic
-// unordered-iter rule (model directory), so both rules must fire
-// there.
+// Fixture: the soa-sync rule.  Raw index arithmetic on the lane
+// escape hatches bypasses the OpLanes invariants (only src/base/ may
+// do it).  The unordered-container walk in maxPending is not a
+// soa-sync finding, but the generic unordered-iter rule (model
+// directory) must still flag it.
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -38,10 +36,10 @@ struct FakeStageModel {
     }
 
     void
-    readyPrecompute()
+    maxPending()
     {
         uint32_t max_seen = 0;
-        for (auto &kv : pendingByTask) { // expect: soa-sync unordered-iter
+        for (auto &kv : pendingByTask) { // expect: unordered-iter
             if (kv.second > max_seen)
                 max_seen = kv.second;
         }

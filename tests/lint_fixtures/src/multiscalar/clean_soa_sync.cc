@@ -1,7 +1,6 @@
-// Expected-clean: the repo convention for the SoA lanes and the
-// parallel readiness phase.  The raw lane pointers are only ever
-// passed whole to kernel calls (no indexing, no arithmetic), and
-// readyPrecompute builds its per-stage worklists from index ranges;
+// Expected-clean: the repo convention for the SoA lanes.  The raw
+// lane pointers are only ever passed whole to kernel calls (no
+// indexing, no arithmetic), and refreshWorklist walks an index range;
 // the hash map is consulted through point lookups only.
 #include <cstdint>
 #include <unordered_map>
@@ -35,7 +34,7 @@ struct CleanStageModel {
     }
 
     void
-    readyPrecompute()
+    refreshWorklist()
     {
         for (size_t i = 0; i < worklist.size(); ++i) {
             auto it = pendingByTask.find(worklist[i]);

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "base/event_frontier.hh"
 #include "base/random.hh"
 #include "multiscalar/processor.hh"
@@ -335,9 +337,15 @@ TEST(FrontierEquiv, PoliciesTopologiesAndStageCounts)
         TraceView view(trc);
         DepOracle oracle(view);
         TaskSet tasks(view);
+        // 256 stages is the ms_manycore benchmark's machine; one seed
+        // there keeps the wide-machine jump-target and store-bound
+        // paths under the global-scan reference.
+        std::vector<unsigned> stage_counts = {4u, 8u, 64u};
+        if (seed == 1)
+            stage_counts.push_back(256u);
         for (const char *policy : {"always", "sync", "storeset"}) {
             for (Topology topo : {Topology::Ring, Topology::Mesh}) {
-                for (unsigned stages : {4u, 8u, 64u}) {
+                for (unsigned stages : stage_counts) {
                     SCOPED_TRACE(testing::Message()
                                  << "seed=" << seed << " policy="
                                  << policy << " topo="

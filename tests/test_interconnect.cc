@@ -233,11 +233,31 @@ TEST(InterconnectDeath, NonPowerOfTwoArbShards)
 
 TEST(InterconnectDeath, DegenerateStageParameters)
 {
-    MultiscalarConfig cfg;
-    cfg.stageWindow = 0;
-    EXPECT_EXIT(validateMultiscalarConfig(cfg),
-                testing::ExitedWithCode(1),
-                "stageWindow must be >= 1");
+    struct Case
+    {
+        unsigned MultiscalarConfig::*field;
+        unsigned value;
+        const char *msg;
+    };
+    const Case cases[] = {
+        {&MultiscalarConfig::stageWindow, 0, "stageWindow must be >= 1"},
+        {&MultiscalarConfig::simpleIntFUs, 0,
+         "simpleIntFUs must be >= 1 .got 0."},
+        {&MultiscalarConfig::complexIntFUs, 0,
+         "complexIntFUs must be >= 1 .got 0."},
+        {&MultiscalarConfig::fpFUs, 0, "fpFUs must be >= 1 .got 0."},
+        {&MultiscalarConfig::branchFUs, 0,
+         "branchFUs must be >= 1 .got 0."},
+        {&MultiscalarConfig::bankBytes, 32,
+         "bankBytes must be >= blockBytes=64 .got 32."},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.msg);
+        MultiscalarConfig cfg;
+        cfg.*c.field = c.value;
+        EXPECT_EXIT(validateMultiscalarConfig(cfg),
+                    testing::ExitedWithCode(1), c.msg);
+    }
 }
 
 } // namespace

@@ -214,6 +214,14 @@ struct PolicyCase
     unsigned stages;
 };
 
+// Without this gtest prints the raw bytes of the case, including the
+// std::string's heap pointer, so the listed test names change per run.
+void
+PrintTo(const PolicyCase &c, std::ostream *os)
+{
+    *os << c.workload << "/" << c.stages;
+}
+
 class PolicyOrdering : public ::testing::TestWithParam<PolicyCase>
 {
 };

@@ -526,7 +526,7 @@ def print_trend(entries):
 
     Label columns appear in first-appearance order across the entries
     (argument order, oldest summary first), NOT sorted: a label newly
-    introduced by a later summary (e.g. an e2e_intra4 run added to the
+    introduced by a later summary (e.g. a new e2e run added to the
     perf job) must append on the right instead of alphabetically
     reshuffling every column that longitudinal readers -- and CI log
     diffs -- already rely on.  Old summaries predating a column simply
