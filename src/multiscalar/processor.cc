@@ -29,10 +29,9 @@ validatedConfig(const MultiscalarConfig &config)
 MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
                                            const DepOracle &dep_oracle,
                                            const TaskSet &task_set,
-                                           const MultiscalarConfig &config,
-                                           LanePool *pool)
+                                           const MultiscalarConfig &config)
     : trc(trace), oracle(dep_oracle), tasks(task_set),
-      cfg(validatedConfig(config)), state(trace.size(), pool),
+      cfg(validatedConfig(config)), state(trace.size()),
       taskRun(task_set.numTasks()), stages(config.numStages),
       memsys(config),
       arb(resolveArbShards(config), config.blockBytes),
@@ -167,29 +166,36 @@ MultiscalarProcessor::taskMispredicted(uint32_t task) const
 SimResult
 MultiscalarProcessor::run()
 {
-    while (stepCycle()) {
+    const uint32_t num_tasks = tasks.numTasks();
+    // An empty task set never enters the loop and leaves the
+    // default-constructed result untouched (no synchronizer epilogue).
+    if (num_tasks == 0)
+        return res;
+
+    while (committedTasks < num_tasks) {
+        ++cycle;
+        ++res.cyclesSimulated;
+        if (cycle > capCycle) {
+            warn("multiscalar: cycle cap %llu hit with %llu/%u tasks "
+                 "committed; results are partial",
+                 static_cast<unsigned long long>(capCycle),
+                 static_cast<unsigned long long>(committedTasks),
+                 num_tasks);
+            break;
+        }
+        simulateCycle(num_tasks);
     }
-    return finish();
+
+    res.cycles = cycle;
+    res.committedTasks = committedTasks;
+    if (sync)
+        res.syncStats = sync->stats();
+    return res;
 }
 
-bool
-MultiscalarProcessor::stepCycle()
+void
+MultiscalarProcessor::simulateCycle(uint32_t num_tasks)
 {
-    const uint32_t num_tasks = tasks.numTasks();
-    if (halted || committedTasks >= num_tasks)
-        return false;
-
-    ++cycle;
-    ++res.cyclesSimulated;
-    if (cycle > capCycle) {
-        warn("multiscalar: cycle cap %llu hit with %llu/%u tasks "
-             "committed; results are partial",
-             static_cast<unsigned long long>(capCycle),
-             static_cast<unsigned long long>(committedTasks),
-             num_tasks);
-        halted = true;
-        return false;
-    }
     cycleActivity = false;
     res.stageSlots += cfg.numStages;
 
@@ -238,7 +244,7 @@ MultiscalarProcessor::stepCycle()
     // Event-driven fast-forward: an idle cycle changed nothing, so
     // every following cycle is identical until a time-gated
     // predicate flips; jump to just before the earliest such cycle
-    // (the next step's increment lands on it).
+    // (the next iteration's increment lands on it).
     if (ffEnabled && !cycleActivity && committedTasks < num_tasks) {
         uint64_t target = frontierOn ? frontierJumpTarget(capCycle)
                                      : nextInterestingCycle(capCycle);
@@ -247,22 +253,6 @@ MultiscalarProcessor::stepCycle()
             cycle = target - 1;
         }
     }
-    return true;
-}
-
-SimResult
-MultiscalarProcessor::finish()
-{
-    // An empty task set never entered the loop; leave the
-    // default-constructed result untouched (matching the historical
-    // early return, which also skipped the synchronizer epilogue).
-    if (tasks.numTasks() == 0)
-        return res;
-    res.cycles = cycle;
-    res.committedTasks = committedTasks;
-    if (sync)
-        res.syncStats = sync->stats();
-    return res;
 }
 
 uint64_t

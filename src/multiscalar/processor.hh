@@ -42,30 +42,13 @@ namespace mdp
 class MultiscalarProcessor : public TaskPcSource
 {
   public:
-    /** @param pool optional recycling arena for the state lanes (the
-     *  lockstep evaluator shares one across its lanes). */
     MultiscalarProcessor(const TraceView &trace, const DepOracle &oracle,
                          const TaskSet &tasks,
-                         const MultiscalarConfig &config,
-                         LanePool *pool = nullptr);
+                         const MultiscalarConfig &config);
     ~MultiscalarProcessor() override;
 
     /** Execute the whole trace; returns aggregate results. */
     SimResult run();
-
-    /**
-     * Per-cycle stepping interface for the lockstep multi-config
-     * evaluator (serve/lockstep.hh): advance the machine by one
-     * simulated cycle (honoring the event-driven fast-forward jump)
-     * and return false once the run is over -- all tasks committed or
-     * the cycle cap tripped.  run() is exactly `while (stepCycle())`
-     * followed by finish(), so stepped execution is byte-identical to
-     * run-to-completion.
-     */
-    bool stepCycle();
-
-    /** Seal and return the result once stepCycle() returned false. */
-    SimResult finish();
 
     /** TaskPcSource: PC of an in-flight task, 0 when unknown. */
     Addr taskPc(uint64_t instance) const override;
@@ -122,6 +105,9 @@ class MultiscalarProcessor : public TaskPcSource
     struct IssueCtx;
 
     // --- per-cycle phases -------------------------------------------
+    /** One simulated cycle after run() advanced the clock: every
+     *  phase below, then the fast-forward jump. */
+    void simulateCycle(uint32_t num_tasks);
     void sequencerStep();
 
     /** Fetch into, then issue from, the window of stage @p stage_idx. */
@@ -382,8 +368,6 @@ class MultiscalarProcessor : public TaskPcSource
     /** Deadlock-guard cycle cap (maxCycles or the trace-derived
      *  default), fixed at construction. */
     uint64_t capCycle = 0;
-    /** The cap tripped: stepCycle() must keep returning false. */
-    bool halted = false;
 
     /** Fast-forward enabled (config flag minus the env kill switch). */
     bool ffEnabled;

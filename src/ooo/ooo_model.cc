@@ -1,6 +1,7 @@
 #include "ooo/ooo_model.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/env.hh"
 #include "base/flat_hash.hh"
@@ -12,11 +13,47 @@
 namespace mdp
 {
 
+void
+validateOooConfig(const OooConfig &cfg)
+{
+    const std::pair<const char *, unsigned> counts[] = {
+        {"windowSize", cfg.windowSize},
+        {"fetchWidth", cfg.fetchWidth},
+        {"issueWidth", cfg.issueWidth},
+        {"commitWidth", cfg.commitWidth},
+        {"simpleIntFUs", cfg.simpleIntFUs},
+        {"complexIntFUs", cfg.complexIntFUs},
+        {"fpFUs", cfg.fpFUs},
+        {"branchFUs", cfg.branchFUs},
+        {"memPorts", cfg.memPorts},
+    };
+    for (const auto &[name, value] : counts) {
+        if (value < 1)
+            mdp_fatal("%s must be >= 1 (got %u)", name, value);
+    }
+    if (!(cfg.missRate >= 0.0 && cfg.missRate <= 1.0))
+        mdp_fatal("missRate must be in [0, 1] (got %g)", cfg.missRate);
+}
+
+namespace
+{
+
+/** Ctor-init-list hook: fatal on a bad config before any member is
+ *  sized or indexed with it. */
+const OooConfig &
+validatedConfig(const OooConfig &config)
+{
+    validateOooConfig(config);
+    return config;
+}
+
+} // namespace
+
 OooProcessor::OooProcessor(const TraceView &trace,
                            const DepOracle &dep_oracle,
-                           const OooConfig &config, LanePool *pool)
-    : trc(trace), oracle(dep_oracle), cfg(config),
-      state(trace.size(), pool), instanceOf(trace.size(), 0),
+                           const OooConfig &config)
+    : trc(trace), oracle(dep_oracle), cfg(validatedConfig(config)),
+      state(trace.size()), instanceOf(trace.size(), 0),
       capCycle(config.maxCycles
                    ? config.maxCycles
                    : 1000 + static_cast<uint64_t>(trace.size()) * 60),
@@ -357,25 +394,29 @@ OooProcessor::nextInterestingCycle(uint64_t cap) const
 OooResult
 OooProcessor::run()
 {
-    while (stepCycle()) {
+    const SeqNum n = static_cast<SeqNum>(trc.size());
+    // An empty trace never enters the loop and leaves the
+    // default-constructed result untouched.
+    if (n == 0)
+        return res;
+
+    while (head < n) {
+        ++cycle;
+        ++res.cyclesSimulated;
+        if (cycle > capCycle) {
+            warn("ooo: cycle cap hit with %u/%u ops committed", head, n);
+            break;
+        }
+        simulateCycle(n);
     }
-    return finish();
+
+    res.cycles = cycle;
+    return res;
 }
 
-bool
-OooProcessor::stepCycle()
+void
+OooProcessor::simulateCycle(SeqNum n)
 {
-    const SeqNum n = static_cast<SeqNum>(trc.size());
-    if (halted || head >= n)
-        return false;
-
-    ++cycle;
-    ++res.cyclesSimulated;
-    if (cycle > capCycle) {
-        warn("ooo: cycle cap hit with %u/%u ops committed", head, n);
-        halted = true;
-        return false;
-    }
     cycleActivity = false;
 
     // Fetch.
@@ -484,7 +525,7 @@ OooProcessor::stepCycle()
     // Event-driven fast-forward: an idle cycle changed nothing, so
     // every following cycle is identical until a time-gated
     // predicate flips; jump to just before the earliest such cycle
-    // (the next step's increment lands on it).
+    // (the next iteration's increment lands on it).
     if (ffEnabled && !cycleActivity && head < n) {
         uint64_t target = nextInterestingCycle(capCycle);
         if (target > cycle + 1) {
@@ -492,19 +533,6 @@ OooProcessor::stepCycle()
             cycle = target - 1;
         }
     }
-    return true;
-}
-
-OooResult
-OooProcessor::finish()
-{
-    // An empty trace never entered the loop; leave the
-    // default-constructed result untouched (matching the historical
-    // early return).
-    if (trc.size() == 0)
-        return res;
-    res.cycles = cycle;
-    return res;
 }
 
 } // namespace mdp

@@ -72,6 +72,14 @@ struct OooConfig
     bool fastForward = true;
 };
 
+/**
+ * Fatal on a config the model cannot run: a zero window, width,
+ * functional-unit count or memory-port count (the machine would never
+ * fetch, issue or commit some op and spin to the cycle cap), or a
+ * missRate outside [0, 1] (NaN included).
+ */
+void validateOooConfig(const OooConfig &cfg);
+
 /** Results of one superscalar run. */
 struct OooResult
 {
@@ -104,27 +112,13 @@ struct OooResult
 class OooProcessor
 {
   public:
-    /** @param pool optional recycling arena for the state lanes (the
-     *  lockstep evaluator shares one across its lanes). */
+    /** Fatal (validateOooConfig) on a config that cannot run. */
     OooProcessor(const TraceView &trace, const DepOracle &oracle,
-                 const OooConfig &config, LanePool *pool = nullptr);
+                 const OooConfig &config);
     ~OooProcessor();
 
+    /** Execute the whole trace; returns aggregate results. */
     OooResult run();
-
-    /**
-     * Per-cycle stepping interface for the lockstep multi-config
-     * evaluator (serve/lockstep.hh): advance the machine by one
-     * simulated cycle (honoring the event-driven fast-forward jump)
-     * and return false once the run is over -- all ops committed or
-     * the cycle cap tripped.  run() is exactly `while (stepCycle())`
-     * followed by finish(), so stepped execution is byte-identical to
-     * run-to-completion.
-     */
-    bool stepCycle();
-
-    /** Seal and return the result once stepCycle() returned false. */
-    OooResult finish();
 
   private:
     // Op-state flags, stored in the OpLanes status lane.
@@ -142,6 +136,9 @@ class OooProcessor
     /** LoadIssueContext over one ready load (defined in the .cc). */
     struct IssueCtx;
 
+    /** One simulated cycle of an @p n-op trace after run() advanced
+     *  the clock: fetch, issue, release, commit, fast-forward. */
+    void simulateCycle(SeqNum n);
     bool srcReady(SeqNum src) const;
     bool srcsReady(SeqNum seq) const;
     bool tryIssueMem(SeqNum seq, unsigned &mem_ports);
@@ -192,8 +189,6 @@ class OooProcessor
     /** Deadlock-guard cycle cap (maxCycles or the trace-derived
      *  default), fixed at construction. */
     uint64_t capCycle = 0;
-    /** The cap tripped: stepCycle() must keep returning false. */
-    bool halted = false;
 
     /** Fast-forward enabled (config flag minus the env kill switch). */
     bool ffEnabled;

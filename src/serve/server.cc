@@ -1,6 +1,5 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -9,9 +8,9 @@
 #include "harness/cycle_stats.hh"
 #include "harness/experiment.hh"
 #include "harness/phase_timer.hh"
+#include "harness/runner.hh"
 #include "harness/sim_stats.hh"
 #include "mdp/policy.hh"
-#include "serve/lockstep.hh"
 #include "workloads/suites.hh"
 
 namespace mdp::serve
@@ -39,35 +38,33 @@ tagsOf(const Request &r)
                                : TagScheme::Distance;
 }
 
-/** Build the lane exactly the way mdp_sim builds its config: paper
- *  policies also set the legacy enum, registry-only descendants ride
- *  the policyName override. */
-LockstepJob
-jobOf(const WorkloadContext &ctx, const Request &r)
+/** Run one request exactly the way mdp_sim builds and runs its
+ *  config: paper policies also set the legacy enum, registry-only
+ *  descendants ride the policyName override. */
+StatGroup
+runRequest(const WorkloadContext &ctx, const Request &r)
 {
     SpecPolicy legacy = SpecPolicy::Sync;
     tryParsePolicy(r.policy, legacy);
 
-    LockstepJob job;
     if (r.model == "ooo") {
-        job.model = LockstepJob::Model::Ooo;
-        job.ooo.windowSize = r.window;
-        job.ooo.policy = legacy;
-        job.ooo.policyName = r.policy;
-        job.ooo.sync.numEntries = r.entries;
-        job.ooo.sync.tags = tagsOf(r);
-        job.ooo.organization = orgOf(r);
-        return job;
+        OooConfig cfg;
+        cfg.windowSize = r.window;
+        cfg.policy = legacy;
+        cfg.policyName = r.policy;
+        cfg.sync.numEntries = r.entries;
+        cfg.sync.tags = tagsOf(r);
+        cfg.organization = orgOf(r);
+        return oooStats(runOoo(ctx, cfg));
     }
-    job.model = LockstepJob::Model::Multiscalar;
-    job.ms = makeMultiscalarConfig(ctx, r.stages, legacy);
-    job.ms.policyName = r.policy;
-    job.ms.sync.numEntries = r.entries;
-    job.ms.sync.tags = tagsOf(r);
-    job.ms.organization = orgOf(r);
+    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, r.stages, legacy);
+    cfg.policyName = r.policy;
+    cfg.sync.numEntries = r.entries;
+    cfg.sync.tags = tagsOf(r);
+    cfg.organization = orgOf(r);
     if (r.preload)
-        job.ms.preloadEdges = analyzeStaticEdges(ctx);
-    return job;
+        cfg.preloadEdges = analyzeStaticEdges(ctx);
+    return multiscalarStats(runMultiscalar(ctx, cfg));
 }
 
 JsonValue
@@ -173,13 +170,11 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary)
     queue.clear();
 
     std::vector<Response> out;
-    std::vector<LockstepResult> results(batch.size());
+    std::vector<StatGroup> results(batch.size());
 
     if (!batch.empty()) {
-        // Group by (workload, scale, seed): one shared context -- one
-        // logical trace pass -- per group.  std::map keeps the group
-        // order deterministic; within a group, submission order is
-        // preserved by construction.
+        // Group by (workload, scale, seed): one shared context per
+        // group.  std::map keeps the group order deterministic.
         using GroupKey = std::tuple<std::string, double, uint64_t>;
         std::map<GroupKey, std::vector<size_t>> groups;
         for (size_t i = 0; i < batch.size(); ++i) {
@@ -193,14 +188,6 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary)
         const unsigned jobs =
             cfg.jobs ? cfg.jobs : ThreadPool::defaultJobs();
         ThreadPool pool(jobs);
-        std::vector<uint64_t> shardRounds;
-
-        struct Shard
-        {
-            const WorkloadContext *ctx;
-            std::vector<size_t> indices;
-        };
-        std::vector<Shard> shards;
 
         for (const auto &[key, members] : groups) {
             const auto &[wname, scale, seed] = key;
@@ -218,47 +205,21 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary)
             ++counters.tracePasses;
             counters.configsEvaluated += members.size();
 
-            // Shard the group's lanes across the pool; every shard
-            // drives its subset in lockstep over the shared context.
-            const size_t nshards = std::min<size_t>(
-                std::max(1u, jobs), members.size());
-            for (size_t s = 0; s < nshards; ++s) {
-                Shard shard;
-                shard.ctx = ctx;
-                for (size_t m = s; m < members.size(); m += nshards)
-                    shard.indices.push_back(members[m]);
-                shards.push_back(std::move(shard));
+            // One standalone run per request; each task writes only
+            // its own slot, so results keep submission order.
+            for (size_t idx : members) {
+                pool.submit([ctx, &req = batch[idx].req,
+                             &slot = results[idx]] {
+                    slot = runRequest(*ctx, req);
+                });
             }
         }
-
-        shardRounds.assign(shards.size(), 0);
-        for (size_t s = 0; s < shards.size(); ++s) {
-            const Shard &shard = shards[s];
-            pool.submit([this, &shard, &batch, &results, &shardRounds,
-                         s] {
-                std::vector<LockstepJob> lanes;
-                lanes.reserve(shard.indices.size());
-                for (size_t idx : shard.indices)
-                    lanes.push_back(
-                        jobOf(*shard.ctx, batch[idx].req));
-                LockstepEvaluator eval(*shard.ctx, std::move(lanes),
-                                       cfg.lockstepChunk);
-                const std::vector<LockstepResult> &r = eval.run();
-                for (size_t k = 0; k < shard.indices.size(); ++k)
-                    results[shard.indices[k]] = r[k];
-                shardRounds[s] = eval.rounds();
-            });
-        }
         pool.wait();
-        for (uint64_t r : shardRounds)
-            counters.lockstepRounds += r;
     }
 
     for (size_t i = 0; i < batch.size(); ++i) {
         const Pending &p = batch[i];
-        const bool ooo = p.req.model == "ooo";
-        StatGroup stats = ooo ? oooStats(results[i].ooo)
-                              : multiscalarStats(results[i].ms);
+        const StatGroup &stats = results[i];
 
         JsonValue doc = JsonValue::object();
         doc.set("id", JsonValue::string(p.req.id));
@@ -350,9 +311,6 @@ Server::batchReport(double wall_seconds) const
                   static_cast<double>(s.configsEvaluated)));
     batch.set("amortization_factor",
               JsonValue::number(s.amortization()));
-    batch.set("lockstep_rounds",
-              JsonValue::number(
-                  static_cast<double>(s.lockstepRounds)));
     batch.set("wall_seconds", JsonValue::number(wall_seconds));
     batch.set("requests_per_sec",
               JsonValue::number(

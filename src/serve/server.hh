@@ -16,13 +16,15 @@
  *   {"op":"run"} / drain() -> one "done" line per queued request, in
  *                             submission order, then a "ran" summary.
  *
- * Evaluation groups the queue by (workload, scale, seed); each group
- * shares one WorkloadContext -- one logical trace pass -- and its
- * configurations are sharded across a bounded worker pool, each shard
- * driven by the lockstep evaluator.  The batch counters therefore
- * report trace_passes == number of groups, and the amortization
- * factor configs_evaluated / trace_passes is the one-pass win the
- * serve-integration CI job gates on.
+ * Evaluation groups the queue by (workload, scale, seed) and builds
+ * one WorkloadContext per group.  Every request is then one ordinary
+ * standalone run (runMultiscalar/runOoo) submitted as its own task to
+ * a bounded worker pool; results land at the request's index, so
+ * output order never depends on scheduling.  The batch counters
+ * report trace_passes == number of groups (one context build per
+ * group), and the amortization factor configs_evaluated /
+ * trace_passes is the context sharing the serve-integration CI job
+ * gates on.
  *
  * Thread-safety: every public method is serialized by one mutex, so
  * racing clients can submit concurrently while another thread runs or
@@ -49,7 +51,6 @@ struct ServeConfig
 {
     size_t queueCapacity = 256;
     unsigned jobs = 0; ///< worker count; 0 = ThreadPool::defaultJobs()
-    unsigned lockstepChunk = 1024;
     /** When set, write each run's mdp_sim-format JSON report to
      *  <resultsDir>/<id>.json (byte-identical to mdp_sim --json-out). */
     std::string resultsDir;
@@ -67,9 +68,11 @@ struct BatchStats
     uint64_t groups = 0;
     uint64_t tracePasses = 0;
     uint64_t configsEvaluated = 0;
+    /** Always 0: requests run standalone, with no round-robin
+     *  interleaving.  Kept only for existing readers of the field. */
     uint64_t lockstepRounds = 0;
 
-    /** Configs evaluated per trace pass (the one-pass sweep win). */
+    /** Configs evaluated per context build (one per group). */
     double
     amortization() const
     {

@@ -1,7 +1,7 @@
-// Fixture: a DependencePolicy with hidden shared state.  One policy
-// object drives both timing models and every lockstep lane, so a
-// mutable static (class-scope or function-local) silently couples
-// lanes.  `static const` is the blessed idiom and stays unflagged.
+// Fixture: a DependencePolicy with hidden shared state.  A mutable
+// static (class-scope or function-local) is shared by every instance,
+// so concurrent runs on the server's pool threads silently couple.
+// `static const` is the blessed idiom and stays unflagged.
 #include "mdp/dep_policy.hh"
 
 #include <string>

@@ -562,7 +562,6 @@ class BenchSummaryTest(unittest.TestCase):
                 "trace_passes": passes,
                 "configs_evaluated": completed,
                 "amortization_factor": completed / passes,
-                "lockstep_rounds": 30,
                 "wall_seconds": wall,
                 "requests_per_sec": completed / wall,
             },

@@ -100,7 +100,7 @@ class MdpLintCliTest(unittest.TestCase):
         for rule in [
             "bench-discipline", "fastforward-order", "header-guard",
             "include-cycle", "layering", "lint-allow",
-            "lockstep-blocking", "nondet-source", "nondet-taint",
+            "nondet-source", "nondet-taint",
             "policy-ctx-escape", "policy-static-state", "ptr-order",
             "unordered-iter", "using-namespace-header",
         ]:

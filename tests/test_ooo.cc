@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "mdp/instance.hh"
 #include "ooo/ooo_model.hh"
 #include "trace/builder.hh"
@@ -159,6 +161,54 @@ TEST(Ooo, EmptyTrace)
     OooResult r = p.run();
     EXPECT_EQ(r.committedOps, 0u);
     EXPECT_EQ(r.cycles, 0u);
+}
+
+TEST(OooDeath, ConfigsThatCannotRunAreFatal)
+{
+    // Each of these would spin to the cycle cap and return partial
+    // results; the constructor must refuse them.
+    struct Case
+    {
+        void (*mutate)(OooConfig &);
+        const char *msg;
+    };
+    const Case cases[] = {
+        {[](OooConfig &c) { c.windowSize = 0; },
+         "windowSize must be >= 1 .got 0."},
+        {[](OooConfig &c) { c.fetchWidth = 0; },
+         "fetchWidth must be >= 1 .got 0."},
+        {[](OooConfig &c) { c.issueWidth = 0; },
+         "issueWidth must be >= 1 .got 0."},
+        {[](OooConfig &c) { c.commitWidth = 0; },
+         "commitWidth must be >= 1 .got 0."},
+        {[](OooConfig &c) { c.simpleIntFUs = 0; },
+         "simpleIntFUs must be >= 1 .got 0."},
+        {[](OooConfig &c) { c.complexIntFUs = 0; },
+         "complexIntFUs must be >= 1 .got 0."},
+        {[](OooConfig &c) { c.fpFUs = 0; },
+         "fpFUs must be >= 1 .got 0."},
+        {[](OooConfig &c) { c.branchFUs = 0; },
+         "branchFUs must be >= 1 .got 0."},
+        {[](OooConfig &c) { c.memPorts = 0; },
+         "memPorts must be >= 1 .got 0."},
+        {[](OooConfig &c) { c.missRate = -0.5; },
+         "missRate must be in .0, 1. .got -0.5."},
+        {[](OooConfig &c) { c.missRate = 1.5; },
+         "missRate must be in .0, 1. .got 1.5."},
+        {[](OooConfig &c) {
+             c.missRate = std::numeric_limits<double>::quiet_NaN();
+         },
+         "missRate must be in .0, 1. .got -?nan."},
+    };
+    Trace t = racyTrace();
+    DepOracle o(t);
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.msg);
+        OooConfig cfg;
+        c.mutate(cfg);
+        EXPECT_EXIT({ OooProcessor p(t, o, cfg); },
+                    testing::ExitedWithCode(1), c.msg);
+    }
 }
 
 } // namespace

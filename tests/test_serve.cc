@@ -1,16 +1,15 @@
 /**
  * @file
- * The mdp_served protocol and server core, and the lockstep
- * multi-config evaluator's byte-identity guarantee.
+ * The mdp_served protocol and server core.
  *
  * Protocol: every malformed input (bad JSON, wrong shapes, unknown
  * fields, oversized lines, out-of-range values) must come back as a
  * structured rejection, never terminate the process.  Server: bounded
  * queue backpressure, idempotent duplicate ids, submission-order
  * results, drain semantics, and thread-safety under racing writers
- * (this binary runs in the ASan and TSan CI jobs).  Lockstep: results
- * of N interleaved model instances are byte-identical to running each
- * configuration alone, at any chunk size.
+ * (this binary runs in the ASan and TSan CI jobs).  Every served
+ * result equals the standalone run of the same configuration, at any
+ * worker count.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 #include "harness/experiment.hh"
 #include "harness/sim_stats.hh"
 #include "mdp/policy.hh"
-#include "serve/lockstep.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 
@@ -179,91 +177,6 @@ TEST(Protocol, ControlOps)
     EXPECT_EQ(parseMessage("{\"op\":7}").kind, MsgKind::Invalid);
 }
 
-// ---- lockstep byte-identity -----------------------------------------
-
-void
-expectSameSimResult(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.committedOps, b.committedOps);
-    EXPECT_EQ(a.committedLoads, b.committedLoads);
-    EXPECT_EQ(a.committedStores, b.committedStores);
-    EXPECT_EQ(a.committedTasks, b.committedTasks);
-    EXPECT_EQ(a.misSpeculations, b.misSpeculations);
-    EXPECT_EQ(a.squashedOps, b.squashedOps);
-    EXPECT_EQ(a.controlStalls, b.controlStalls);
-    EXPECT_EQ(a.loadsBlockedSync, b.loadsBlockedSync);
-    EXPECT_EQ(a.loadsBlockedFrontier, b.loadsBlockedFrontier);
-    EXPECT_EQ(a.frontierReleases, b.frontierReleases);
-    EXPECT_EQ(a.syncWaitCycles, b.syncWaitCycles);
-    EXPECT_EQ(a.cyclesSimulated, b.cyclesSimulated);
-    EXPECT_EQ(a.cyclesSkipped, b.cyclesSkipped);
-    EXPECT_EQ(a.pred.nn, b.pred.nn);
-    EXPECT_EQ(a.pred.ny, b.pred.ny);
-    EXPECT_EQ(a.pred.yn, b.pred.yn);
-    EXPECT_EQ(a.pred.yy, b.pred.yy);
-}
-
-TEST(Lockstep, ByteIdenticalToSequentialRuns)
-{
-    const WorkloadContext &ctx = cachedContext("espresso", kScale);
-    const SpecPolicy policies[] = {
-        SpecPolicy::Never, SpecPolicy::Always, SpecPolicy::Wait,
-        SpecPolicy::PerfectSync, SpecPolicy::Sync, SpecPolicy::ESync,
-        SpecPolicy::VSync};
-
-    std::vector<LockstepJob> jobs;
-    std::vector<SimResult> solo;
-    for (unsigned stages : {4u, 8u}) {
-        for (SpecPolicy p : policies) {
-            LockstepJob job;
-            job.ms = makeMultiscalarConfig(ctx, stages, p);
-            jobs.push_back(job);
-            solo.push_back(runMultiscalar(ctx, job.ms));
-        }
-    }
-
-    // Any chunk size must give identical results -- including a
-    // pathological one-cycle round-robin.
-    for (unsigned chunk : {1u, 7u, 4096u}) {
-        LockstepEvaluator eval(ctx, jobs, chunk);
-        const std::vector<LockstepResult> &got = eval.run();
-        ASSERT_EQ(got.size(), solo.size());
-        for (size_t i = 0; i < solo.size(); ++i)
-            expectSameSimResult(got[i].ms, solo[i]);
-        EXPECT_GT(eval.rounds(), 0u);
-    }
-}
-
-TEST(Lockstep, OooLanesMatchSequential)
-{
-    const WorkloadContext &ctx = cachedContext("espresso", kScale);
-    std::vector<LockstepJob> jobs;
-    std::vector<OooResult> solo;
-    for (SpecPolicy p :
-         {SpecPolicy::Always, SpecPolicy::Sync, SpecPolicy::Never}) {
-        LockstepJob job;
-        job.model = LockstepJob::Model::Ooo;
-        job.ooo.policy = p;
-        jobs.push_back(job);
-        solo.push_back(runOoo(ctx, job.ooo));
-    }
-    LockstepEvaluator eval(ctx, jobs, 64);
-    const std::vector<LockstepResult> &got = eval.run();
-    ASSERT_EQ(got.size(), solo.size());
-    for (size_t i = 0; i < solo.size(); ++i) {
-        EXPECT_EQ(got[i].ooo.cycles, solo[i].cycles);
-        EXPECT_EQ(got[i].ooo.committedOps, solo[i].committedOps);
-        EXPECT_EQ(got[i].ooo.misSpeculations,
-                  solo[i].misSpeculations);
-        EXPECT_EQ(got[i].ooo.squashedOps, solo[i].squashedOps);
-        EXPECT_EQ(got[i].ooo.loadsBlocked, solo[i].loadsBlocked);
-        EXPECT_EQ(got[i].ooo.cyclesSimulated,
-                  solo[i].cyclesSimulated);
-        EXPECT_EQ(got[i].ooo.cyclesSkipped, solo[i].cyclesSkipped);
-    }
-}
-
 // ---- server ---------------------------------------------------------
 
 ServeConfig
@@ -395,6 +308,83 @@ TEST(Server, ResultsMatchSharedReportWriter)
     for (const auto &[name, value] : g.all()) {
         ASSERT_TRUE(stats.has(name)) << name;
         EXPECT_DOUBLE_EQ(stats.get(name).asNumber(), value) << name;
+    }
+}
+
+TEST(Server, ResultsMatchStandaloneRuns)
+{
+    // Two workloads (two groups): Multiscalar at 4 and 8 stages under
+    // the seven paper policies, plus OoO under three.  Every "done"
+    // line must come back in submission order and carry exactly the
+    // stats of a standalone run, whatever the worker count.
+    const SpecPolicy ms_policies[] = {
+        SpecPolicy::Never, SpecPolicy::Always, SpecPolicy::Wait,
+        SpecPolicy::PerfectSync, SpecPolicy::Sync, SpecPolicy::ESync,
+        SpecPolicy::VSync};
+    const SpecPolicy ooo_policies[] = {
+        SpecPolicy::Always, SpecPolicy::Sync, SpecPolicy::Never};
+
+    std::vector<std::string> lines;
+    std::vector<StatGroup> expected;
+    for (const char *wl : {"espresso", "sc"}) {
+        const WorkloadContext &ctx = cachedContext(wl, kScale);
+        const std::string prefix = "{\"workload\":\"" +
+                                   std::string(wl) +
+                                   "\",\"scale\":0.02,";
+        for (unsigned stages : {4u, 8u}) {
+            for (SpecPolicy p : ms_policies) {
+                const std::string pol = policyName(p);
+                lines.push_back(prefix + "\"id\":\"" + wl + "-" +
+                                std::to_string(stages) + "-" + pol +
+                                "\",\"policy\":\"" + pol +
+                                "\",\"stages\":" +
+                                std::to_string(stages) + "}");
+                MultiscalarConfig cfg =
+                    makeMultiscalarConfig(ctx, stages, p);
+                cfg.policyName = pol;
+                expected.push_back(
+                    multiscalarStats(runMultiscalar(ctx, cfg)));
+            }
+        }
+        for (SpecPolicy p : ooo_policies) {
+            const std::string pol = policyName(p);
+            lines.push_back(prefix + "\"id\":\"" + wl + "-ooo-" + pol +
+                            "\",\"model\":\"ooo\",\"policy\":\"" +
+                            pol + "\"}");
+            OooConfig cfg;
+            cfg.policy = p;
+            cfg.policyName = pol;
+            expected.push_back(oooStats(runOoo(ctx, cfg)));
+        }
+    }
+
+    for (unsigned jobs : {1u, 3u, 8u}) {
+        SCOPED_TRACE(testing::Message() << "jobs=" << jobs);
+        ServeConfig cfg;
+        cfg.jobs = jobs;
+        Server server(cfg);
+        std::vector<std::string> ids;
+        for (const std::string &line : lines) {
+            JsonValue ack = parseLine(server.handleLine(1, line)[0].line);
+            ASSERT_EQ(ack.get("status").asString(), "queued");
+            ids.push_back(ack.get("id").asString());
+        }
+
+        auto out = server.handleLine(1, "{\"op\":\"run\"}");
+        ASSERT_EQ(out.size(), lines.size() + 1);
+        for (size_t i = 0; i < lines.size(); ++i) {
+            JsonValue doc = parseLine(out[i].line);
+            ASSERT_EQ(doc.get("id").asString(), ids[i]);
+            ASSERT_EQ(doc.get("status").asString(), "done");
+            const JsonValue &stats = doc.get("stats");
+            ASSERT_EQ(stats.size(), expected[i].all().size()) << ids[i];
+            for (const auto &[name, value] : expected[i].all()) {
+                ASSERT_TRUE(stats.has(name)) << ids[i] << " " << name;
+                EXPECT_EQ(stats.get(name).asNumber(), value)
+                    << ids[i] << " " << name;
+            }
+        }
+        EXPECT_EQ(server.stats().groups, 2u);
     }
 }
 

@@ -399,35 +399,5 @@ TEST(SoaEquiv, ScalarVsAvx2AllPoliciesBothModels)
     }
 }
 
-TEST(SoaEquiv, LanePoolRecycledBuffersAreClean)
-{
-    // A processor built from a pool that holds a dirty recycled
-    // buffer must behave exactly like one built from fresh memory.
-    Trace trc = randomTrace(9);
-    TraceView view(trc);
-    DepOracle oracle(view);
-    TaskSet tasks(view);
-    MultiscalarConfig cfg;
-    cfg.policy = SpecPolicy::Sync;
-
-    SimResult fresh;
-    {
-        MultiscalarProcessor proc(view, oracle, tasks, cfg);
-        fresh = proc.run();
-    }
-
-    LanePool pool;
-    {
-        // First run soils the pool's buffers with final op state.
-        MultiscalarProcessor proc(view, oracle, tasks, cfg, &pool);
-        proc.run();
-    }
-    EXPECT_GT(pool.cached(), 0u);
-    {
-        MultiscalarProcessor proc(view, oracle, tasks, cfg, &pool);
-        expectSimEqual(fresh, proc.run());
-    }
-}
-
 } // namespace
 } // namespace mdp

@@ -107,7 +107,8 @@ checkStaticRun(const std::vector<Token> &code, size_t b, size_t e,
          std::string(tls ? "thread_local" : "mutable static") +
              (at_class_scope ? " data member" : " local") +
              " in a DependencePolicy: policies must be pure (state "
-             "shared across lanes breaks lockstep identity)"});
+             "shared by concurrent runs on the server's pool threads "
+             "makes results depend on scheduling)"});
 }
 
 } // namespace

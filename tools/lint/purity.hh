@@ -2,16 +2,16 @@
  * @file
  * Policy-purity analysis: DependencePolicy subclasses must be pure.
  *
- * A single policy object drives both timing models and (under
- * mdp_served) several lockstep lanes, so the registry contract is
- * strict: a policy's behavior may depend only on its own members and
- * the LoadIssueContext it is handed per call.  Two rule families
- * enforce that mechanically:
+ * One policy class serves both timing models, and mdp_served runs
+ * many configurations concurrently on its pool threads, so the
+ * registry contract is strict: a policy's behavior may depend only on
+ * its own members and the LoadIssueContext it is handed per call.
+ * Two rule families enforce that mechanically:
  *
  *  - `policy-static-state`: no mutable `static` (or `thread_local`)
  *    data, at class scope or function-local, anywhere in a policy
  *    class.  `static const`/`static constexpr` are fine — they are
- *    immutable and lane-invisible.
+ *    immutable, so concurrent runs cannot observe each other.
  *  - `policy-ctx-escape`: the per-call LoadIssueContext must not be
  *    retained beyond the call — no members mentioning the type, and
  *    no taking the address of a context parameter inside a method.

@@ -91,7 +91,8 @@ inDeterministicScope(const std::string &scoped)
     return startsWith(scoped, "src/") || startsWith(scoped, "bench/");
 }
 
-/** Where the taint pass runs: the model directories plus serve/.
+/** Where the taint pass and unordered-iter run: the model directories
+ *  plus serve/, whose output order must be hash-independent too.
  *  harness/ and bench/ are report-only timing by design. */
 bool
 inTaintScope(const std::string &scoped)
@@ -520,75 +521,6 @@ checkFrontierOrder(const std::string &path,
     }
 }
 
-// ---- rule: lockstep-blocking ---------------------------------------
-
-/**
- * Calls that block (or can block) the calling thread.  Matched as
- * whole identifiers, so `writeSimReport` does not trip "write" but
- * `write(fd, ...)` and `file.read(...)` do.
- */
-const char *const kBlockingTokens[] = {
-    "accept",      "connect",   "epoll_wait",  "fdatasync", "fflush",
-    "fgets",       "fopen",     "fprintf",     "fread",     "fscanf",
-    "fsync",       "fwrite",    "getline",     "lock",      "lock_guard",
-    "nanosleep",   "open",      "poll",        "pread",     "printf",
-    "pwrite",      "read",      "recv",        "recvfrom",  "recvmsg",
-    "scoped_lock", "select",    "send",        "sendmsg",   "sendto",
-    "sleep",       "sleep_for", "sleep_until", "system",
-    "unique_lock", "usleep",    "wait",        "waitpid",   "write",
-};
-
-/**
- * The lockstep evaluator's per-cycle path (any function named
- * stepRound under src/serve/) runs once per round-robin chunk for
- * the whole batch: one blocking call there stalls every lane at once,
- * and unordered-container iteration there leaks hash order into lane
- * scheduling.
- */
-void
-checkLockstepBlocking(const std::string &path,
-                      const std::vector<Token> &code,
-                      const std::set<std::string> &names,
-                      std::vector<Diag> &out)
-{
-    std::vector<std::pair<size_t, size_t>> bodies =
-        functionBodies(code, "stepRound");
-    if (bodies.empty())
-        return;
-
-    for (size_t i = 0; i + 1 < code.size(); ++i) {
-        if (code[i].kind != Tok::Ident || !inAnyBody(bodies, i))
-            continue;
-        bool blocking = false;
-        for (const char *token : kBlockingTokens)
-            blocking = blocking || code[i].spelling == token;
-        // Only calls: the token must be followed by '(' or be a
-        // lock type instantiated as `lock_guard<...> g(...)`.
-        if (!blocking || (!isPunct(code[i + 1], "(") &&
-                          !isPunct(code[i + 1], "<")))
-            continue;
-        out.push_back(
-            {path, code[i].line, "lockstep-blocking",
-             "'" + code[i].spelling +
-                 "' in stepRound: the lockstep per-cycle path "
-                 "must never block; one stalled call stops every "
-                 "lane in the batch -- do I/O and locking outside "
-                 "the stepping loop"});
-    }
-
-    forEachContainerIteration(
-        code, names, [&](size_t idx, const std::string &name, bool) {
-            if (!inAnyBody(bodies, idx))
-                return;
-            out.push_back(
-                {path, code[idx].line, "lockstep-blocking",
-                 "stepRound iterates unordered container '" + name +
-                     "': hash order would leak into lane scheduling; "
-                     "keep the per-cycle path on vectors and index "
-                     "ranges"});
-        });
-}
-
 // ---- rules: header-guard, using-namespace-header -------------------
 
 void
@@ -760,13 +692,10 @@ contextPass(const std::string &path, const std::vector<Token> &code,
     const std::set<std::string> &names =
         decl_it == ctx.decls.end() ? kNoNames : decl_it->second;
 
-    if (inModelDir(scoped)) {
-        checkUnorderedIter(path, code, names, out);
+    if (inModelDir(scoped))
         checkFastForwardOrder(path, code, names, out);
-    }
-    if (startsWith(scoped, "src/serve/"))
-        checkLockstepBlocking(path, code, names, out);
     if (inTaintScope(scoped)) {
+        checkUnorderedIter(path, code, names, out);
         for (const TaintDiag &td : checkNondetTaint(code, names))
             out.push_back({path, td.line, "nondet-taint", td.msg});
     }
@@ -1118,9 +1047,6 @@ ruleDocs()
         {"lint-allow",
          "a suppression comment must name a rule and give a "
          "justification"},
-        {"lockstep-blocking",
-         "no blocking calls or unordered iteration inside stepRound "
-         "under src/serve/"},
         {"nondet-source",
          "banned nondeterminism sources (wall clocks, random "
          "engines, pids, thread ids) in src/ and bench/"},
@@ -1134,7 +1060,8 @@ ruleDocs()
          "a context parameter)"},
         {"policy-static-state",
          "DependencePolicy classes must not hold mutable static or "
-         "thread_local state (lockstep lanes share the object)"},
+         "thread_local state (concurrent runs on the server's pool "
+         "threads would share it)"},
         {"ptr-order",
          "ordered containers and comparators must not key on "
          "pointer values (std::map<T *, ...>, std::less<T *>)"},
@@ -1143,7 +1070,8 @@ ruleDocs()
          "(doneData()/flagsData()) outside src/base/"},
         {"unordered-iter",
          "no iteration over unordered containers in the model "
-         "directories; order leaks into state and reports"},
+         "directories or src/serve/; order leaks into state, reports "
+         "and served output"},
         {"using-namespace-header",
          "no `using namespace` in headers"},
     };

@@ -8,7 +8,7 @@
  * The protocol (one JSON document per line, see serve/protocol.hh and
  * EXPERIMENTS.md "Running the server") is identical over both
  * transports.  This file is transport only: all queueing, validation,
- * backpressure and lockstep evaluation live in serve/server.hh.
+ * backpressure and evaluation live in serve/server.hh.
  *
  * Shutdown semantics: EOF (stdin mode), SIGTERM/SIGINT, or a
  * {"op":"shutdown"} line all *drain* -- every accepted request still
@@ -343,8 +343,6 @@ main(int argc, char **argv)
     args.addOption("jobs", "0",
                    "worker threads for evaluation (0 = MDP_JOBS or "
                    "hardware concurrency)");
-    args.addOption("chunk", "1024",
-                   "lockstep chunk in cycles per lane per round");
     args.addOption("results-dir", "",
                    "write each run's mdp_sim-format JSON report to "
                    "<dir>/<id>.json");
@@ -365,8 +363,6 @@ main(int argc, char **argv)
     cfg.queueCapacity =
         static_cast<size_t>(std::max(1L, args.getLong("queue-cap")));
     cfg.jobs = static_cast<unsigned>(std::max(0L, args.getLong("jobs")));
-    cfg.lockstepChunk =
-        static_cast<unsigned>(std::max(1L, args.getLong("chunk")));
     cfg.resultsDir = args.get("results-dir");
     serve::Server server(cfg);
 

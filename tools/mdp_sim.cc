@@ -121,6 +121,16 @@ main(int argc, char **argv)
                      args.usage().c_str());
         return 2;
     }
+    // The sizes are read as signed longs; reject them here rather than
+    // let -1 wrap to a huge unsigned value.
+    for (const char *name : {"stages", "entries", "window"}) {
+        if (args.getLong(name) < 1) {
+            std::fprintf(stderr, "--%s must be >= 1 (got '%s')\n%s",
+                         name, args.get(name).c_str(),
+                         args.usage().c_str());
+            return 2;
+        }
+    }
     if (args.flag("help")) {
         std::printf("%s", args.usage().c_str());
         return 0;

@@ -10,7 +10,8 @@ sweep
     wait for every result, and assert:
       - every request completes exactly once, in submission order,
       - the run summary's amortization factor (configs evaluated per
-        trace pass) meets --min-amortization.
+        context build, one build per (workload, scale, seed) group)
+        meets --min-amortization.
     With --shutdown, finish with {"op":"shutdown"} so the server
     writes its batch report and exits on its own.
 
@@ -140,7 +141,7 @@ def run_sweep(args):
         print(f"sweep: FAIL: {failure}", file=sys.stderr)
     if not failures:
         print(f"sweep: {len(done)} results, "
-              f"{summary.get('trace_passes')} trace passes, "
+              f"{summary.get('trace_passes')} context builds, "
               f"amortization {amort:.2f}")
     return 1 if failures else 0
 
@@ -286,7 +287,7 @@ def main():
     sweep.add_argument("--scale", type=float, default=0.1)
     sweep.add_argument("--min-amortization", type=float,
                        default=8.0 / 1.5,
-                       help="minimum configs per trace pass "
+                       help="minimum configs per context build "
                             "(default 8/1.5)")
     sweep.add_argument("--shutdown", action="store_true",
                        help="finish with {\"op\":\"shutdown\"}")
