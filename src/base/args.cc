@@ -1,5 +1,8 @@
 #include "base/args.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -7,6 +10,19 @@
 
 namespace mdp
 {
+
+namespace
+{
+
+/** strto* consumed all of @p v, which is non-empty and unpadded. */
+bool
+wholeToken(const std::string &v, const char *end)
+{
+    return !v.empty() && !std::isspace(static_cast<unsigned char>(v[0])) &&
+           *end == '\0';
+}
+
+} // namespace
 
 ArgParser::ArgParser(std::string program_name)
     : program(std::move(program_name))
@@ -106,16 +122,39 @@ ArgParser::get(const std::string &name) const
     return def->second.def;
 }
 
-long
-ArgParser::getLong(const std::string &name) const
+bool
+ArgParser::getLong(const std::string &name, long lo, long hi, long &out)
 {
-    return std::strtol(get(name).c_str(), nullptr, 10);
+    const std::string v = get(name);
+    char *end = nullptr;
+    errno = 0;
+    long n = std::strtol(v.c_str(), &end, 10);
+    if (!wholeToken(v, end) || errno == ERANGE || n < lo || n > hi) {
+        errorMsg = "--" + name + " must be an integer in [" +
+                   std::to_string(lo) + ", " + std::to_string(hi) +
+                   "] (got '" + v + "')";
+        return false;
+    }
+    out = n;
+    return true;
 }
 
-double
-ArgParser::getDouble(const std::string &name) const
+bool
+ArgParser::getDouble(const std::string &name, double lo, double hi,
+                     double &out)
 {
-    return std::strtod(get(name).c_str(), nullptr);
+    const std::string v = get(name);
+    char *end = nullptr;
+    double x = std::strtod(v.c_str(), &end);
+    if (!wholeToken(v, end) || !std::isfinite(x) || !(x > lo && x <= hi)) {
+        std::ostringstream os;
+        os << "--" << name << " must be a number in (" << lo << ", "
+           << hi << "] (got '" << v << "')";
+        errorMsg = os.str();
+        return false;
+    }
+    out = x;
+    return true;
 }
 
 std::string

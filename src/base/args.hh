@@ -2,9 +2,10 @@
  * @file
  * A small command-line argument parser for the tools and examples.
  *
- * Supports --flag, --key value and --key=value forms, typed accessors
- * with defaults, and a generated usage string.  Unknown options are
- * errors; positional arguments are collected in order.
+ * Supports --flag, --key value and --key=value forms, range-checked
+ * numeric accessors, defaults, and a generated usage string.  Unknown
+ * options and malformed numbers are errors; positional arguments are
+ * collected in order.
  */
 
 #ifndef MDP_BASE_ARGS_HH
@@ -45,8 +46,20 @@ class ArgParser
 
     bool flag(const std::string &name) const;
     std::string get(const std::string &name) const;
-    long getLong(const std::string &name) const;
-    double getDouble(const std::string &name) const;
+
+    /**
+     * Read @p name as an integer in [lo, hi].  The value must be the
+     * whole token.  On failure, returns false and error() says why.
+     */
+    bool getLong(const std::string &name, long lo, long hi, long &out);
+
+    /**
+     * Read @p name as a finite number in (lo, hi].  The value must be
+     * the whole token.  On failure, returns false and error() says
+     * why.
+     */
+    bool getDouble(const std::string &name, double lo, double hi,
+                   double &out);
 
     const std::vector<std::string> &positionals() const
     {

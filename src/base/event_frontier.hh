@@ -20,9 +20,10 @@
  * forward in O(1) over empty regions, so event-driven jumps of
  * millions of cycles do not walk buckets.
  *
- * Determinism: iteration never touches a hash container or any
- * wall-clock/random source (mdp_lint rule `frontier-order` enforces
- * this); ties are broken by id, and popDue() emits due ids in a
+ * Determinism: iteration never touches a hash container (mdp_lint
+ * rule `frontier-order` bans them in this file) or any
+ * wall-clock/random source (rule `nondet-source`); ties are broken
+ * by id, and popDue() emits due ids in a
  * deterministic order.  The timing model additionally sorts the due
  * set into ring order, so no container order can leak into results.
  */

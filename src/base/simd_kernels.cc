@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "base/env.hh"
-
 #if defined(__x86_64__) || defined(__i386__)
 #define MDP_HAVE_AVX2_PATH 1
 #include <immintrin.h>
@@ -253,12 +251,7 @@ earliestViolatorAvx2(const uint32_t *seqs, const uint32_t *versions,
 SimdLevel
 detectLevel()
 {
-    std::string pref = envString("MDP_SIMD", "auto");
-    if (pref == "scalar" || !avx2Supported())
-        return SimdLevel::Scalar;
-    // "avx2" and "auto" both take the vector path when supported;
-    // unknown values fall back to auto semantics.
-    return SimdLevel::Avx2;
+    return avx2Supported() ? SimdLevel::Avx2 : SimdLevel::Scalar;
 }
 
 SimdLevel &

@@ -11,11 +11,10 @@
  * sign-flip trick, so there is no value-range precondition; results
  * are exact for the full uint64_t/uint32_t domain.
  *
- * Dispatch is process-wide: MDP_SIMD=scalar forces the reference
- * path, MDP_SIMD=avx2 requests the vector path (falling back to
- * scalar when unsupported), and the default `auto` picks the best
- * supported level.  Both paths produce identical results by
- * construction; CI runs the bench byte-identity sweep under both.
+ * Dispatch is process-wide: the AVX2 path runs iff the CPU supports
+ * it.  forceLevel() is the test hook that pins either path; the
+ * SoaKernels and SoaEquiv tests use it to check that both paths
+ * produce identical results.
  */
 
 #ifndef MDP_BASE_SIMD_KERNELS_HH
@@ -36,8 +35,8 @@ enum class SimdLevel
     Avx2,
 };
 
-/** The level the kernels currently dispatch to (env + CPU detection,
- *  or the last forceLevel() override). */
+/** The level the kernels currently dispatch to (CPU detection, or
+ *  the last forceLevel() override). */
 SimdLevel activeLevel();
 
 /** Human-readable name ("scalar" / "avx2"). */

@@ -119,6 +119,12 @@ validateMultiscalarConfig(const MultiscalarConfig &cfg)
                   "(got %u)",
                   cfg.arbShards);
     }
+    // NaN would never mispredict and a rate above 1 always would.
+    if (!(cfg.taskMispredictRate >= 0.0 &&
+          cfg.taskMispredictRate <= 1.0)) {
+        mdp_fatal("taskMispredictRate must be in [0, 1] (got %g)",
+                  cfg.taskMispredictRate);
+    }
     if (cfg.topology == Topology::Mesh)
         resolveMeshDims(cfg);   // fatals on a non-factoring grid
 }

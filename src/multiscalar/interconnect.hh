@@ -17,7 +17,8 @@
  * on the topology enum, no virtual call per operand) and the virtual
  * Interconnect wrapper used by tests, stats and tooling.  They are
  * pure integer functions of the endpoints; the `frontier-order` lint
- * rule keeps wall-clock and hash-order sources out of this file.
+ * rule keeps hash containers out of this file and `nondet-source`
+ * keeps out wall-clock and random sources.
  */
 
 #ifndef MDP_MULTISCALAR_INTERCONNECT_HH

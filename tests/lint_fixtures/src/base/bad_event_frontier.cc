@@ -21,7 +21,7 @@ struct BadFrontier
     jitterSeed() const
     {
         auto now = std::chrono::
-            steady_clock::now(); // expect: frontier-order nondet-source
+            steady_clock::now(); // expect: nondet-source
         return static_cast<uint64_t>(
             now.time_since_epoch().count());
     }

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "multiscalar/interconnect.hh"
 
 namespace mdp
@@ -257,6 +259,33 @@ TEST(InterconnectDeath, DegenerateStageParameters)
         cfg.*c.field = c.value;
         EXPECT_EXIT(validateMultiscalarConfig(cfg),
                     testing::ExitedWithCode(1), c.msg);
+    }
+}
+
+TEST(InterconnectDeath, TaskMispredictRateOutsideUnitInterval)
+{
+    struct Case
+    {
+        double value;
+        const char *msg;
+    };
+    const Case cases[] = {
+        {std::nan(""), "taskMispredictRate must be in .0, 1. .got nan."},
+        {5.0, "taskMispredictRate must be in .0, 1. .got 5."},
+        {-0.1, "taskMispredictRate must be in .0, 1. .got -0.1."},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.msg);
+        MultiscalarConfig cfg;
+        cfg.taskMispredictRate = c.value;
+        EXPECT_EXIT(validateMultiscalarConfig(cfg),
+                    testing::ExitedWithCode(1), c.msg);
+    }
+    // Both ends of the interval are valid rates.
+    for (double ok : {0.0, 1.0}) {
+        MultiscalarConfig cfg;
+        cfg.taskMispredictRate = ok;
+        validateMultiscalarConfig(cfg);
     }
 }
 

@@ -56,7 +56,7 @@ class MdpLintCliTest(unittest.TestCase):
             f.write(content)
 
     def lint(self, *extra):
-        return run(["--root", self.root, "--no-cache"] + list(extra))
+        return run(["--root", self.root] + list(extra))
 
     # ---- exit codes -------------------------------------------------
 
@@ -73,9 +73,13 @@ class MdpLintCliTest(unittest.TestCase):
         self.assertIn("clean", r.stdout)
 
     def test_exit_2_on_unknown_option(self):
-        r = run(["--bogus"])
-        self.assertEqual(r.returncode, 2)
-        self.assertIn("unknown option", r.stderr)
+        # The analysis is uncached and serial: the old cache and
+        # thread options are unknown options now.
+        for args in (["--bogus"], ["--no-cache"], ["--cache", "x"],
+                     ["--jobs", "2"]):
+            r = self.lint(*args)
+            self.assertEqual(r.returncode, 2, args)
+            self.assertIn("unknown option", r.stderr)
 
     def test_exit_2_on_unknown_rule_id(self):
         r = self.lint("--rule", "no-such-rule")
@@ -90,6 +94,15 @@ class MdpLintCliTest(unittest.TestCase):
         self.assertEqual(r.returncode, 2)
         self.assertIn("baseline", r.stderr)
 
+    def test_lint_writes_nothing_under_build(self):
+        # A read-only check leaves the tree as it found it, even when
+        # a build/ directory exists.
+        build = os.path.join(self.root, "build")
+        os.makedirs(build)
+        r = self.lint()
+        self.assertEqual(r.returncode, 1, r.stderr)
+        self.assertEqual(os.listdir(build), [])
+
     # ---- rule listing and filters -----------------------------------
 
     def test_list_rules_documents_every_rule(self):
@@ -98,7 +111,7 @@ class MdpLintCliTest(unittest.TestCase):
         lines = [l for l in r.stdout.splitlines() if l.strip()]
         ids = [l.split()[0] for l in lines]
         for rule in [
-            "bench-discipline", "fastforward-order", "header-guard",
+            "bench-discipline", "frontier-order", "header-guard",
             "include-cycle", "layering", "lint-allow",
             "nondet-source", "nondet-taint",
             "policy-ctx-escape", "policy-static-state", "ptr-order",

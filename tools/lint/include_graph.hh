@@ -2,8 +2,8 @@
  * @file
  * The repo's #include DAG and the layering rules over it.
  *
- * Per-file include extraction is a pure function of file content
- * (cache-friendly); graph construction and the two rule families
+ * Per-file include extraction is a pure function of file content;
+ * graph construction and the two rule families
  * (include-cycle, layering) run over a whole batch of files:
  *
  *  - `layering`: a file in src/<dir> may include headers only from

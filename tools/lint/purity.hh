@@ -16,7 +16,7 @@
  *    retained beyond the call — no members mentioning the type, and
  *    no taking the address of a context parameter inside a method.
  *
- * Extraction is per-file and purely syntactic (cache-friendly):
+ * Extraction is per-file and purely syntactic:
  * collectClassFacts() records every class, its base names, and the
  * would-be findings.  Whether a class actually IS a policy needs the
  * whole batch (SyncFamilyPolicy subclasses resolve transitively), so

@@ -9,8 +9,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "base/hash.hh"
-#include "base/thread_pool.hh"
 #include "lint/dataflow.hh"
 #include "lint/include_graph.hh"
 #include "lint/lexer.hh"
@@ -71,33 +69,27 @@ isHeaderPath(const std::string &path)
     return endsWith(path, ".hh") || endsWith(path, ".h");
 }
 
-/** Directories whose containers feed simulation state or stats. */
-bool
-inModelDir(const std::string &scoped)
-{
-    static const char *const kDirs[] = {
-        "src/mdp/",         "src/ooo/",   "src/window/",
-        "src/multiscalar/", "src/trace/", "src/workloads/",
-    };
-    for (const char *d : kDirs)
-        if (startsWith(scoped, d))
-            return true;
-    return false;
-}
-
 bool
 inDeterministicScope(const std::string &scoped)
 {
     return startsWith(scoped, "src/") || startsWith(scoped, "bench/");
 }
 
-/** Where the taint pass and unordered-iter run: the model directories
- *  plus serve/, whose output order must be hash-independent too.
- *  harness/ and bench/ are report-only timing by design. */
+/** Where the taint pass and unordered-iter run: the model directories,
+ *  whose containers feed simulation state or stats, plus serve/, whose
+ *  output order must be hash-independent too.  harness/ and bench/
+ *  are report-only timing by design. */
 bool
 inTaintScope(const std::string &scoped)
 {
-    return inModelDir(scoped) || startsWith(scoped, "src/serve/");
+    static const char *const kDirs[] = {
+        "src/mdp/",   "src/ooo/",       "src/window/", "src/multiscalar/",
+        "src/trace/", "src/workloads/", "src/serve/",
+    };
+    for (const char *d : kDirs)
+        if (startsWith(scoped, d))
+            return true;
+    return false;
 }
 
 std::vector<std::string>
@@ -266,16 +258,27 @@ collectUnorderedDecls(const std::vector<Token> &code)
 }
 
 /**
- * Invoke @p cb(token_idx, name, is_range_for) for every iteration
- * over a container in @p names: range-for sequences (idx is the ':')
- * and explicit .begin()/.cbegin() walks (idx is the container name).
- * Point lookups never match.
+ * Flag every iteration over a container in @p names: range-for
+ * sequences (reported at the ':') and explicit .begin()/.cbegin()
+ * walks.  Point lookups never match.
  */
-template <typename Fn>
 void
-forEachContainerIteration(const std::vector<Token> &code,
-                          const std::set<std::string> &names, Fn cb)
+checkUnorderedIter(const std::string &path,
+                   const std::vector<Token> &code,
+                   const std::set<std::string> &names,
+                   std::vector<Diag> &out)
 {
+    auto report = [&](size_t idx, const std::string &name,
+                      bool range_for) {
+        out.push_back({path, code[idx].line, "unordered-iter",
+                       std::string(range_for ? "range-for over"
+                                             : "iterator walk over") +
+                           " unordered container '" + name +
+                           "': iteration order is "
+                           "implementation-defined; use an ordered "
+                           "container or a sorted drain "
+                           "(base/ordered.hh)"});
+    };
     for (size_t i = 0; i + 1 < code.size(); ++i) {
         // Range-for whose sequence is one of the named containers.
         if (isIdent(code[i], "for") && isPunct(code[i + 1], "(")) {
@@ -310,7 +313,7 @@ forEachContainerIteration(const std::vector<Token> &code,
                     plain = false;
             }
             if (plain && !name.empty() && names.count(name))
-                cb(colon, name, true);
+                report(colon, name, true);
             continue;
         }
 
@@ -321,108 +324,9 @@ forEachContainerIteration(const std::vector<Token> &code,
             (isIdent(code[i + 2], "begin") ||
              isIdent(code[i + 2], "cbegin")) &&
             isPunct(code[i + 3], "(")) {
-            cb(i, code[i].spelling, false);
+            report(i, code[i].spelling, false);
         }
     }
-}
-
-void
-checkUnorderedIter(const std::string &path,
-                   const std::vector<Token> &code,
-                   const std::set<std::string> &names,
-                   std::vector<Diag> &out)
-{
-    forEachContainerIteration(
-        code, names,
-        [&](size_t idx, const std::string &name, bool range_for) {
-            out.push_back(
-                {path, code[idx].line, "unordered-iter",
-                 std::string(range_for ? "range-for over"
-                                       : "iterator walk over") +
-                     " unordered container '" + name +
-                     "': iteration order is implementation-defined; "
-                     "use an ordered container or a sorted drain "
-                     "(base/ordered.hh)"});
-        });
-}
-
-// ---- rules scoped to one function's body ---------------------------
-
-/**
- * Token ranges (body_open, body_close) of every *definition* of a
- * function named @p fn.  Declarations (a parameter list followed by
- * ';' before any '{') and call sites are skipped.
- */
-std::vector<std::pair<size_t, size_t>>
-functionBodies(const std::vector<Token> &code, const char *fn)
-{
-    std::vector<std::pair<size_t, size_t>> out;
-    for (size_t i = 0; i + 1 < code.size(); ++i) {
-        if (!isIdent(code[i], fn) || !isPunct(code[i + 1], "("))
-            continue;
-        size_t close = matchGroup(code, i + 1);
-        if (close == SIZE_MAX)
-            continue;
-        // A definition has a '{' before the next ';' (qualifiers
-        // like `const`/`noexcept`/a trailing return type may
-        // intervene).
-        size_t j = close + 1;
-        while (j < code.size() && !isPunct(code[j], "{") &&
-               !isPunct(code[j], ";"))
-            ++j;
-        if (j >= code.size() || !isPunct(code[j], "{"))
-            continue;
-        size_t end = matchGroup(code, j);
-        if (end == SIZE_MAX)
-            continue;
-        out.push_back({j, end});
-        i = j;
-    }
-    return out;
-}
-
-bool
-inAnyBody(const std::vector<std::pair<size_t, size_t>> &bodies,
-          size_t idx)
-{
-    for (const auto &[b, e] : bodies)
-        if (idx > b && idx < e)
-            return true;
-    return false;
-}
-
-/**
- * The fast-forward skip-target scan (any function named
- * nextInterestingCycle in a model directory) must visit its
- * candidates in a platform-stable order: its result steers which
- * cycles are jumped over, so a hash-order dependence there silently
- * changes simulated results between standard libraries even when
- * every candidate is considered.
- */
-void
-checkFastForwardOrder(const std::string &path,
-                      const std::vector<Token> &code,
-                      const std::set<std::string> &names,
-                      std::vector<Diag> &out)
-{
-    std::vector<std::pair<size_t, size_t>> bodies =
-        functionBodies(code, "nextInterestingCycle");
-    if (bodies.empty())
-        return;
-    forEachContainerIteration(
-        code, names, [&](size_t idx, const std::string &name, bool) {
-            if (!inAnyBody(bodies, idx))
-                return;
-            out.push_back(
-                {path, code[idx].line, "fastforward-order",
-                 "nextInterestingCycle iterates unordered container "
-                 "'" +
-                     name +
-                     "': the skip-target scan steers which cycles "
-                     "fast-forward jumps over, so candidates must be "
-                     "visited in a platform-stable order; iterate a "
-                     "vector or an index range instead"});
-        });
 }
 
 // ---- rule: soa-sync ------------------------------------------------
@@ -470,9 +374,8 @@ checkSoaRawIndex(const std::string &path,
  * implementing them (basename containing "event_frontier" or
  * "interconnect", under src/) may not *contain* hash containers at
  * all -- stricter than unordered-iter, which only flags iteration and
- * does not cover src/base/ -- and wall-clock/random sources there are
- * called out under this rule as well as nondet-source, so suppressing
- * one cannot quietly waive the other.
+ * does not cover src/base/.  Wall-clock and random sources there are
+ * nondet-source findings like anywhere else in src/.
  */
 bool
 isFrontierOrderScope(const std::string &scoped)
@@ -506,17 +409,6 @@ checkFrontierOrder(const std::string &path,
                      "ordering must be platform-stable; use the "
                      "bucket wheel / min-heap / vectors with explicit "
                      "(t, id) ordering"});
-        }
-    }
-    for (const std::string &token : nondetSourceTokens()) {
-        size_t pos = 0;
-        while ((pos = findIdentSeq(code, token, pos)) != SIZE_MAX) {
-            out.push_back({path, code[pos].line, "frontier-order",
-                           "nondeterminism source '" + token +
-                               "' in frontier/interconnect code: park "
-                               "times and hop counts must derive only "
-                               "from simulated state"});
-            ++pos;
         }
     }
 }
@@ -665,21 +557,7 @@ localPass(const std::string &path, const std::string &text,
 struct BatchContext {
     DeclMap decls;  ///< unordered names per scoped directory
     std::map<std::string, std::vector<std::string>> bases_of;
-    uint64_t classmap_fnv = 0;
 };
-
-uint64_t
-contextKey(const BatchContext &ctx, const std::string &scoped)
-{
-    Fnv1a h;
-    h.str(scoped);
-    auto it = ctx.decls.find(dirOf(scoped));
-    if (it != ctx.decls.end())
-        for (const std::string &n : it->second)
-            h.str(n);
-    h.value<uint64_t>(ctx.classmap_fnv);
-    return h.digest();
-}
 
 std::vector<Diag>
 contextPass(const std::string &path, const std::vector<Token> &code,
@@ -692,8 +570,6 @@ contextPass(const std::string &path, const std::vector<Token> &code,
     const std::set<std::string> &names =
         decl_it == ctx.decls.end() ? kNoNames : decl_it->second;
 
-    if (inModelDir(scoped))
-        checkFastForwardOrder(path, code, names, out);
     if (inTaintScope(scoped)) {
         checkUnorderedIter(path, code, names, out);
         for (const TaintDiag &td : checkNondetTaint(code, names))
@@ -713,270 +589,62 @@ contextPass(const std::string &path, const std::vector<Token> &code,
     return out;
 }
 
-// ---- the on-disk result cache --------------------------------------
-
-struct CacheEntry {
-    uint64_t content_fnv = 0;
-    FileFacts facts;
-    uint64_t ctx_fnv = 0;
-    bool has_ctx = false;
-    std::vector<Diag> ctx_diags;
-};
-
-std::string
-escapeMsg(const std::string &s)
-{
-    std::string out;
-    for (char c : s)
-        out += c == '\n' ? ' ' : c;
-    return out;
-}
-
-std::map<std::string, CacheEntry>
-loadCache(const std::string &path)
-{
-    std::map<std::string, CacheEntry> cache;
-    std::ifstream in(path);
-    if (!in)
-        return cache;
-    std::string line;
-    if (!std::getline(in, line) || line != "mdp_lint_cache v1")
-        return cache;
-    CacheEntry *cur = nullptr;
-    std::string cur_path;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
-        if (tag == "file") {
-            std::string fnv_hex;
-            ls >> fnv_hex >> cur_path;
-            cur = &cache[cur_path];
-            cur->content_fnv = std::stoull(fnv_hex, nullptr, 16);
-        } else if (cur == nullptr) {
-            continue;
-        } else if (tag == "i") {
-            IncludeEdge e;
-            std::string kind;
-            ls >> e.line >> kind;
-            e.angled = kind == "a";
-            std::getline(ls >> std::ws, e.path);
-            cur->facts.includes.push_back(std::move(e));
-        } else if (tag == "u") {
-            std::string name;
-            ls >> name;
-            cur->facts.unordered_names.insert(name);
-        } else if (tag == "c") {
-            ClassFact cf;
-            ls >> cf.name;
-            std::string b;
-            while (ls >> b)
-                cf.bases.push_back(b);
-            cur->facts.classes.push_back(std::move(cf));
-        } else if (tag == "f" && !cur->facts.classes.empty()) {
-            ClassFinding cfind;
-            ls >> cfind.line >> cfind.rule;
-            std::getline(ls >> std::ws, cfind.msg);
-            cur->facts.classes.back().findings.push_back(
-                std::move(cfind));
-        } else if (tag == "a") {
-            int l;
-            std::string rule;
-            ls >> l >> rule;
-            cur->facts.allows.allowed.insert({l, rule});
-        } else if (tag == "m" || tag == "d" || tag == "y") {
-            Diag d;
-            d.file = cur_path;
-            ls >> d.line >> d.rule;
-            std::getline(ls >> std::ws, d.msg);
-            if (tag == "m")
-                cur->facts.allows.malformed.push_back(std::move(d));
-            else if (tag == "d")
-                cur->facts.local.push_back(std::move(d));
-            else
-                cur->ctx_diags.push_back(std::move(d));
-        } else if (tag == "x") {
-            std::string fnv_hex;
-            ls >> fnv_hex;
-            cur->ctx_fnv = std::stoull(fnv_hex, nullptr, 16);
-            cur->has_ctx = true;
-        }
-    }
-    return cache;
-}
-
-void
-saveCache(const std::string &path,
-          const std::map<std::string, CacheEntry> &cache)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return;  // caching is best-effort; a read-only tree is fine
-    out << "mdp_lint_cache v1\n";
-    for (const auto &[file, e] : cache) {
-        out << "file " << hashHex(e.content_fnv) << ' ' << file
-            << '\n';
-        for (const IncludeEdge &inc : e.facts.includes)
-            out << "i " << inc.line << ' '
-                << (inc.angled ? 'a' : 'q') << ' ' << inc.path
-                << '\n';
-        for (const std::string &n : e.facts.unordered_names)
-            out << "u " << n << '\n';
-        for (const ClassFact &cf : e.facts.classes) {
-            out << "c " << cf.name;
-            for (const std::string &b : cf.bases)
-                out << ' ' << b;
-            out << '\n';
-            for (const ClassFinding &cfind : cf.findings)
-                out << "f " << cfind.line << ' ' << cfind.rule << ' '
-                    << escapeMsg(cfind.msg) << '\n';
-        }
-        for (const auto &[l, rule] : e.facts.allows.allowed)
-            out << "a " << l << ' ' << rule << '\n';
-        for (const Diag &d : e.facts.allows.malformed)
-            out << "m " << d.line << ' ' << d.rule << ' '
-                << escapeMsg(d.msg) << '\n';
-        for (const Diag &d : e.facts.local)
-            out << "d " << d.line << ' ' << d.rule << ' '
-                << escapeMsg(d.msg) << '\n';
-        if (e.has_ctx) {
-            out << "x " << hashHex(e.ctx_fnv) << '\n';
-            for (const Diag &d : e.ctx_diags)
-                out << "y " << d.line << ' ' << d.rule << ' '
-                    << escapeMsg(d.msg) << '\n';
-        }
-        out << "end\n";
-    }
-}
+} // namespace
 
 // ---- whole-batch analysis ------------------------------------------
 
 std::vector<Diag>
-analyzeSources(const std::vector<SourceFile> &sources, unsigned jobs,
-               const std::string &cache_path)
+lintSources(const std::vector<SourceFile> &sources)
 {
-    std::map<std::string, CacheEntry> cache;
-    if (!cache_path.empty())
-        cache = loadCache(cache_path);
-
-    struct PerFile {
-        uint64_t content_fnv = 0;
-        FileFacts facts;
-        std::vector<Token> code;  ///< empty on a facts cache hit
-        bool from_cache = false;
-        uint64_t ctx_key = 0;
-        std::vector<Diag> ctx_diags;
-    };
-    std::vector<PerFile> per(sources.size());
-
-    ThreadPool pool(jobs);
-
-    // Phase 1: per-file facts and local diags (pure function of
-    // content; served from the cache when the content hash matches).
+    // Per-file facts and the diags that need no cross-file context.
+    std::vector<std::vector<Token>> code(sources.size());
+    std::vector<FileFacts> facts(sources.size());
     for (size_t i = 0; i < sources.size(); ++i) {
-        pool.submit([&, i] {
-            const SourceFile &src = sources[i];
-            PerFile &pf = per[i];
-            pf.content_fnv =
-                fnv1a(src.text.data(), src.text.size());
-            auto it = cache.find(src.path);
-            if (it != cache.end() &&
-                it->second.content_fnv == pf.content_fnv) {
-                pf.facts = it->second.facts;
-                pf.from_cache = true;
-                return;
-            }
-            pf.code = codeTokens(lex(src.text));
-            pf.facts = localPass(src.path, src.text, pf.code);
-        });
+        code[i] = codeTokens(lex(sources[i].text));
+        facts[i] = localPass(sources[i].path, sources[i].text, code[i]);
     }
-    pool.wait();
 
-    // Phase 2 (serial): cross-file context.
+    // Cross-file context.
     BatchContext ctx;
     std::map<std::string, std::vector<IncludeEdge>> includes_of;
     std::map<std::string, std::string> original_of;
     for (size_t i = 0; i < sources.size(); ++i) {
         std::string scoped = scopedPath(sources[i].path);
-        ctx.decls[dirOf(scoped)].insert(
-            per[i].facts.unordered_names.begin(),
-            per[i].facts.unordered_names.end());
-        includes_of[scoped] = per[i].facts.includes;
+        ctx.decls[dirOf(scoped)].insert(facts[i].unordered_names.begin(),
+                                        facts[i].unordered_names.end());
+        includes_of[scoped] = facts[i].includes;
         original_of[scoped] = sources[i].path;
-        for (const ClassFact &cf : per[i].facts.classes) {
+        for (const ClassFact &cf : facts[i].classes) {
             auto &bases = ctx.bases_of[cf.name];
-            bases.insert(bases.end(), cf.bases.begin(),
-                         cf.bases.end());
+            bases.insert(bases.end(), cf.bases.begin(), cf.bases.end());
         }
     }
-    Fnv1a ch;
-    for (const auto &[name, bases] : ctx.bases_of) {
-        ch.str(name);
-        for (const std::string &b : bases)
-            ch.str(b);
-    }
-    ctx.classmap_fnv = ch.digest();
 
-    // Phase 3: context diags (cache-keyed by content + context).
-    for (size_t i = 0; i < sources.size(); ++i) {
-        pool.submit([&, i] {
-            const SourceFile &src = sources[i];
-            PerFile &pf = per[i];
-            pf.ctx_key = contextKey(ctx, scopedPath(src.path));
-            auto it = cache.find(src.path);
-            if (pf.from_cache && it != cache.end() &&
-                it->second.has_ctx &&
-                it->second.ctx_fnv == pf.ctx_key) {
-                pf.ctx_diags = it->second.ctx_diags;
-                return;
-            }
-            if (pf.code.empty() && !src.text.empty())
-                pf.code = codeTokens(lex(src.text));
-            pf.ctx_diags =
-                contextPass(src.path, pf.code, pf.facts, ctx);
-        });
-    }
-    pool.wait();
-
-    // Phase 4 (serial): the include graph runs over the whole batch
-    // and is recomputed every time (it is cheap and global).
+    // The include graph runs over the whole batch.
     std::map<std::string, std::vector<Diag>> graph_diags;
     for (const GraphDiag &gd :
          checkIncludeGraph(includes_of, defaultLayers())) {
         const std::string &orig = original_of[gd.file];
-        graph_diags[orig].push_back(
-            {orig, gd.line, gd.rule, gd.msg});
+        graph_diags[orig].push_back({orig, gd.line, gd.rule, gd.msg});
     }
 
-    // Phase 5: apply suppressions, merge, sort; refresh the cache.
+    // Context diags, then suppressions.
     std::vector<Diag> all;
     for (size_t i = 0; i < sources.size(); ++i) {
-        const SourceFile &src = sources[i];
-        PerFile &pf = per[i];
-        std::vector<Diag> mine = pf.facts.local;
-        mine.insert(mine.end(), pf.ctx_diags.begin(),
-                    pf.ctx_diags.end());
-        auto git = graph_diags.find(src.path);
+        std::vector<Diag> mine = facts[i].local;
+        std::vector<Diag> ctx_diags =
+            contextPass(sources[i].path, code[i], facts[i], ctx);
+        mine.insert(mine.end(), ctx_diags.begin(), ctx_diags.end());
+        auto git = graph_diags.find(sources[i].path);
         if (git != graph_diags.end())
             mine.insert(mine.end(), git->second.begin(),
                         git->second.end());
         for (Diag &d : mine)
-            if (!pf.facts.allows.allows(d.line, d.rule))
+            if (!facts[i].allows.allows(d.line, d.rule))
                 all.push_back(std::move(d));
-        for (const Diag &d : pf.facts.allows.malformed)
+        for (const Diag &d : facts[i].allows.malformed)
             all.push_back(d);
-
-        if (!cache_path.empty()) {
-            CacheEntry &e = cache[src.path];
-            e.content_fnv = pf.content_fnv;
-            e.facts = pf.facts;
-            e.ctx_fnv = pf.ctx_key;
-            e.has_ctx = true;
-            e.ctx_diags = pf.ctx_diags;
-        }
     }
-    if (!cache_path.empty())
-        saveCache(cache_path, cache);
 
     std::sort(all.begin(), all.end(),
               [](const Diag &a, const Diag &b) {
@@ -994,30 +662,6 @@ analyzeSources(const std::vector<SourceFile> &sources, unsigned jobs,
     return all;
 }
 
-std::vector<SourceFile>
-readSources(const std::string &root,
-            const std::vector<std::string> &rel_paths, bool &ok)
-{
-    ok = true;
-    std::vector<SourceFile> sources;
-    sources.reserve(rel_paths.size());
-    for (const std::string &rel : rel_paths) {
-        std::ifstream in(fs::path(root) / rel, std::ios::binary);
-        if (!in) {
-            ok = false;
-            sources.clear();
-            sources.push_back({rel, ""});
-            return sources;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        sources.push_back({rel, buf.str()});
-    }
-    return sources;
-}
-
-} // namespace
-
 // ---- public API -----------------------------------------------------
 
 std::vector<RuleDoc>
@@ -1027,14 +671,9 @@ ruleDocs()
         {"bench-discipline",
          "bench/bench_*.cc must use cachedContext()/ExperimentRunner "
          "and finish through finishBench()"},
-        {"fastforward-order",
-         "no unordered-container iteration inside "
-         "nextInterestingCycle: the skip-target scan must be "
-         "platform-stable"},
         {"frontier-order",
-         "no hash containers or wall-clock/random sources in "
-         "event-frontier/interconnect files: the manycore "
-         "scheduler's event and hop ordering must be "
+         "no hash containers in event-frontier/interconnect files: "
+         "the manycore scheduler's event and hop ordering must be "
          "platform-stable"},
         {"header-guard",
          "headers carry the canonical MDP_<PATH>_HH include guard "
@@ -1129,12 +768,6 @@ codeView(const std::string &text)
     return out;
 }
 
-std::vector<Diag>
-lintSources(const std::vector<SourceFile> &sources)
-{
-    return analyzeSources(sources, 1, "");
-}
-
 std::vector<std::string>
 discoverFiles(const std::string &root)
 {
@@ -1172,27 +805,17 @@ std::vector<Diag>
 lintPaths(const std::string &root,
           const std::vector<std::string> &rel_paths)
 {
-    bool ok = false;
-    std::vector<SourceFile> sources = readSources(root, rel_paths, ok);
-    if (!ok)
-        return {{sources[0].path, 0, "lint-allow",
-                 "cannot read file (bad path?)"}};
-    return analyzeSources(sources, 1, "");
-}
-
-std::vector<Diag>
-lintTree(const std::string &root,
-         const std::vector<std::string> &rel_paths,
-         const LintOptions &options)
-{
-    bool ok = false;
-    std::vector<SourceFile> sources = readSources(root, rel_paths, ok);
-    if (!ok)
-        return {{sources[0].path, 0, "lint-allow",
-                 "cannot read file (bad path?)"}};
-    unsigned jobs = options.jobs != 0 ? options.jobs
-                                      : ThreadPool::defaultJobs();
-    return analyzeSources(sources, jobs, options.cache_path);
+    std::vector<SourceFile> sources;
+    for (const std::string &rel : rel_paths) {
+        std::ifstream in(fs::path(root) / rel, std::ios::binary);
+        if (!in)
+            return {{rel, 0, "lint-allow",
+                     "cannot read file (bad path?)"}};
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        sources.push_back({rel, buf.str()});
+    }
+    return lintSources(sources);
 }
 
 std::vector<Diag>

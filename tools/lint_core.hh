@@ -21,10 +21,9 @@
  * absent, so fixtures exercise path-scoped rules (e.g. a fixture at
  * tests/lint_fixtures/src/mdp/x.cc is linted as src/mdp/x.cc).
  *
- * lintTree() is the CLI entry point: file-parallel on the harness
- * ThreadPool with an FNV-content-keyed result cache, so a no-change
- * full-tree lint does not even re-lex.  lintSources()/lintPaths()
- * run the same analysis serially with no cache (what the tests use).
+ * There is one analysis path: lintPaths() reads files and hands them
+ * to lintSources(), one serial pass with no cache.  The CLI and the
+ * tests both go through it; a full-tree lint takes ~0.1 s.
  */
 
 #ifndef MDP_TOOLS_LINT_CORE_HH
@@ -91,23 +90,6 @@ std::vector<std::string> discoverFiles(const std::string &root);
 /** Read the given root-relative paths and lint them. */
 std::vector<Diag> lintPaths(const std::string &root,
                             const std::vector<std::string> &rel_paths);
-
-/** Knobs for the parallel, cached tree lint. */
-struct LintOptions {
-    /** Worker threads; 0 means ThreadPool::defaultJobs(). */
-    unsigned jobs = 0;
-    /** On-disk result cache path; empty disables caching. */
-    std::string cache_path;
-};
-
-/**
- * Lint @p rel_paths under @p root, file-parallel, reusing and
- * refreshing the result cache at options.cache_path.  Identical
- * output to lintPaths() on the same inputs.
- */
-std::vector<Diag> lintTree(const std::string &root,
-                           const std::vector<std::string> &rel_paths,
-                           const LintOptions &options);
 
 /**
  * Keep only diagnostics selected by --rule/--exclude-rule: when

@@ -15,12 +15,6 @@
  *   --baseline PATH       subtract the findings recorded in PATH;
  *                         only new findings count
  *   --write-baseline PATH record current findings as accepted debt
- *   --jobs N              analysis threads (default: MDP_JOBS or
- *                         hardware concurrency)
- *   --cache PATH          result-cache file (default:
- *                         <root>/build/.mdp_lint_cache when build/
- *                         exists)
- *   --no-cache            disable the result cache
  *
  * With no files, lints the default set (src/, bench/, tools/,
  * tests/, examples/ minus tests/lint_fixtures).  When files ARE
@@ -28,7 +22,8 @@
  * (layering, cycles, policy resolution, per-directory container
  * declarations) need it — but only diagnostics in the named files
  * are reported.  That is what makes a changed-files-only CI fast
- * path sound.
+ * path sound.  The analysis is one serial pass with no cache, and
+ * it writes no file unless --sarif or --write-baseline asks for one.
  *
  * Exit codes: 0 clean, 1 findings, 2 usage or I/O error.  See
  * tools/lint_core.hh for the rule set and the
@@ -37,9 +32,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -75,16 +68,12 @@ knownRule(const std::string &id)
 int
 main(int argc, char **argv)
 {
-    namespace fs = std::filesystem;
     using mdp::lint::Diag;
 
     std::string root = ".";
     std::vector<std::string> files;
     std::vector<std::string> only_rules, exclude_rules;
     std::string sarif_path, baseline_path, write_baseline_path;
-    std::string cache_path;
-    bool no_cache = false;
-    unsigned jobs = 0;
 
     auto needValue = [&](int &i) -> const char * {
         return i + 1 < argc ? argv[++i] : nullptr;
@@ -129,28 +118,12 @@ main(int argc, char **argv)
                 return usageError("--write-baseline needs a path",
                                   nullptr);
             write_baseline_path = v;
-        } else if (std::strcmp(a, "--jobs") == 0) {
-            const char *v = needValue(i);
-            int n = v ? std::atoi(v) : 0;
-            if (n <= 0)
-                return usageError("--jobs needs a positive count",
-                                  v);
-            jobs = static_cast<unsigned>(n);
-        } else if (std::strcmp(a, "--cache") == 0) {
-            const char *v = needValue(i);
-            if (!v)
-                return usageError("--cache needs a path", nullptr);
-            cache_path = v;
-        } else if (std::strcmp(a, "--no-cache") == 0) {
-            no_cache = true;
         } else if (std::strcmp(a, "--help") == 0) {
             std::printf(
                 "usage: mdp_lint [--root DIR] [--list-rules]\n"
                 "                [--rule ID] [--exclude-rule ID]\n"
                 "                [--sarif PATH] [--baseline PATH]\n"
-                "                [--write-baseline PATH] [--jobs N]\n"
-                "                [--cache PATH] [--no-cache]\n"
-                "                [file...]\n"
+                "                [--write-baseline PATH] [file...]\n"
                 "exit codes: 0 clean, 1 findings, 2 usage/IO "
                 "error\n");
             return 0;
@@ -183,19 +156,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    mdp::lint::LintOptions options;
-    options.jobs = jobs;
-    if (!no_cache) {
-        if (!cache_path.empty())
-            options.cache_path = cache_path;
-        else if (fs::is_directory(fs::path(root) / "build"))
-            options.cache_path =
-                (fs::path(root) / "build" / ".mdp_lint_cache")
-                    .string();
-    }
-
-    std::vector<Diag> diags =
-        mdp::lint::lintTree(root, analyze, options);
+    std::vector<Diag> diags = mdp::lint::lintPaths(root, analyze);
     if (diags.size() == 1 && diags[0].line == 0 &&
         diags[0].rule == "lint-allow") {
         std::fprintf(stderr, "mdp_lint: %s: %s\n",

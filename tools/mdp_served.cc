@@ -17,8 +17,8 @@
  * answered twice.
  */
 
-#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -359,10 +359,17 @@ main(int argc, char **argv)
         return 0;
     }
 
+    long queue_cap = 0, jobs = 0;
+    if (!args.getLong("queue-cap", 1, LONG_MAX, queue_cap) ||
+        !args.getLong("jobs", 0, 1024, jobs)) {
+        std::fprintf(stderr, "%s\n%s", args.error().c_str(),
+                     args.usage().c_str());
+        return 2;
+    }
+
     serve::ServeConfig cfg;
-    cfg.queueCapacity =
-        static_cast<size_t>(std::max(1L, args.getLong("queue-cap")));
-    cfg.jobs = static_cast<unsigned>(std::max(0L, args.getLong("jobs")));
+    cfg.queueCapacity = static_cast<size_t>(queue_cap);
+    cfg.jobs = static_cast<unsigned>(jobs);
     cfg.resultsDir = args.get("results-dir");
     serve::Server server(cfg);
 

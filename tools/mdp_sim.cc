@@ -9,6 +9,8 @@
  *   mdp_sim --load-trace sc.trc --policy psync --csv
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <optional>
@@ -121,15 +123,18 @@ main(int argc, char **argv)
                      args.usage().c_str());
         return 2;
     }
-    // The sizes are read as signed longs; reject them here rather than
-    // let -1 wrap to a huge unsigned value.
-    for (const char *name : {"stages", "entries", "window"}) {
-        if (args.getLong(name) < 1) {
-            std::fprintf(stderr, "--%s must be >= 1 (got '%s')\n%s",
-                         name, args.get(name).c_str(),
-                         args.usage().c_str());
-            return 2;
-        }
+    // Numeric options must be whole, in-range tokens.  The scale bound
+    // is the batch server's; the sizes must fit the unsigned fields.
+    long stages = 0, entries = 0, window = 0, seed = 0;
+    double scale = 0;
+    if (!args.getLong("stages", 1, UINT32_MAX, stages) ||
+        !args.getLong("entries", 1, UINT32_MAX, entries) ||
+        !args.getLong("window", 1, UINT32_MAX, window) ||
+        !args.getLong("seed", 0, LONG_MAX, seed) ||
+        !args.getDouble("scale", 0.0, 4.0, scale)) {
+        std::fprintf(stderr, "%s\n%s", args.error().c_str(),
+                     args.usage().c_str());
+        return 2;
     }
     if (args.flag("help")) {
         std::printf("%s", args.usage().c_str());
@@ -169,7 +174,6 @@ main(int argc, char **argv)
     // context cache (harness/experiment.hh) so repeated invocations in
     // one process -- and the oracle/task artifacts below -- are built
     // exactly once.  Loaded traces and seed overrides stay private.
-    double scale = args.getDouble("scale");
     std::optional<WorkloadContext> owned;
     const WorkloadContext *ctx = nullptr;
     if (!args.get("load-trace").empty()) {
@@ -181,11 +185,10 @@ main(int argc, char **argv)
         ctx = &*owned;
     } else {
         const Workload &w = findWorkload(args.get("workload"));
-        auto seed = static_cast<uint64_t>(args.getLong("seed"));
         if (seed == 0) {
             ctx = &cachedContext(w.name(), scale);
         } else {
-            owned.emplace(w.generate(scale, seed),
+            owned.emplace(w.generate(scale, static_cast<uint64_t>(seed)),
                           w.profile().taskMispredictRate);
             ctx = &*owned;
         }
@@ -207,9 +210,7 @@ main(int argc, char **argv)
     // ---- perfect-window dependence study ----------------------------
     if (model == "window") {
         WindowModel wm(ctx->trace(), ctx->oracle());
-        auto r = wm.study(
-            static_cast<uint32_t>(args.getLong("window")),
-            {32, 128, 512});
+        auto r = wm.study(static_cast<uint32_t>(window), {32, 128, 512});
         StatGroup g;
         g.set("window_size", r.windowSize);
         g.set("misspeculations",
@@ -227,11 +228,10 @@ main(int argc, char **argv)
     // ---- superscalar continuous-window model ------------------------
     if (model == "ooo") {
         OooConfig cfg;
-        cfg.windowSize = static_cast<unsigned>(args.getLong("window"));
+        cfg.windowSize = static_cast<unsigned>(window);
         cfg.policy = legacy_policy;
         cfg.policyName = policy_arg;
-        cfg.sync.numEntries =
-            static_cast<size_t>(args.getLong("entries"));
+        cfg.sync.numEntries = static_cast<size_t>(entries);
         cfg.sync.tags = parseTags(args.get("tags"));
         cfg.organization = parseOrg(args.get("org"));
         OooResult r = runOoo(*ctx, cfg);
@@ -246,10 +246,9 @@ main(int argc, char **argv)
         mdp_fatal("unknown model '%s'", model.c_str());
 
     MultiscalarConfig cfg = makeMultiscalarConfig(
-        *ctx, static_cast<unsigned>(args.getLong("stages")),
-        legacy_policy);
+        *ctx, static_cast<unsigned>(stages), legacy_policy);
     cfg.policyName = policy_arg;
-    cfg.sync.numEntries = static_cast<size_t>(args.getLong("entries"));
+    cfg.sync.numEntries = static_cast<size_t>(entries);
     cfg.sync.tags = parseTags(args.get("tags"));
     cfg.organization = parseOrg(args.get("org"));
     if (args.flag("preload"))

@@ -185,6 +185,15 @@ main(int argc, char **argv)
         std::printf("%s", args.usage().c_str());
         return args.flag("help") ? 0 : 2;
     }
+    // The scale bound is the batch server's.
+    double scale = 0;
+    long jobs = 0;
+    if (!args.getDouble("scale", 0.0, 4.0, scale) ||
+        !args.getLong("jobs", 0, 1024, jobs)) {
+        std::fprintf(stderr, "%s\n%s", args.error().c_str(),
+                     args.usage().c_str());
+        return 2;
+    }
 
     std::string dir = args.get("dir");
     if (dir.empty())
@@ -199,9 +208,8 @@ main(int argc, char **argv)
                                   args.positionals().end());
 
     if (cmd == "build")
-        return cmdBuild(cache, args.get("workloads"),
-                        args.getDouble("scale"),
-                        static_cast<unsigned>(args.getLong("jobs")));
+        return cmdBuild(cache, args.get("workloads"), scale,
+                        static_cast<unsigned>(jobs));
     if (cmd == "ls")
         return cmdList(cache, false);
     if (cmd == "verify")
