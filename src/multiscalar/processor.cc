@@ -32,6 +32,7 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
                                            const MultiscalarConfig &config)
     : trc(trace), oracle(dep_oracle), tasks(task_set),
       cfg(validatedConfig(config)), state(trace.size()),
+      srcArrival(trace.size(), 0), srcPending(task_set.producerCounts()),
       taskRun(task_set.numTasks()), stages(config.numStages),
       memsys(config),
       arb(resolveArbShards(config), config.blockBytes),
@@ -53,27 +54,11 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
         dueBuf.reserve(cfg.numStages);
         duePos.reserve(cfg.numStages);
         storeHeap.reserve(cfg.numStages);
-
-        // Consumer CSR: reverse src1/src2 edges, so a producer's issue
-        // can wake exactly the stages whose readiness it advances.
-        consStart.assign(trc.size() + 1, 0);
-        for (SeqNum s = 0; s < trc.size(); ++s) {
-            for (SeqNum src : {trc.src1(s), trc.src2(s)}) {
-                if (src != kNoSeq)
-                    ++consStart[src + 1];
-            }
-        }
-        for (size_t i = 1; i < consStart.size(); ++i)
-            consStart[i] += consStart[i - 1];
-        consList.resize(consStart.back());
-        std::vector<uint32_t> cursor(consStart.begin(),
-                                     consStart.end() - 1);
-        for (SeqNum s = 0; s < trc.size(); ++s) {
-            for (SeqNum src : {trc.src1(s), trc.src2(s)}) {
-                if (src != kNoSeq)
-                    consList[cursor[src]++] = s;
-            }
-        }
+    }
+    // No producer has issued yet: every op with a source waits.
+    for (SeqNum s = 0; s < srcPending.size(); ++s) {
+        if (srcPending[s])
+            state.set(s, kSrcWait);
     }
     // A wakeup or blocked list can never exceed the in-flight window
     // (numStages stage windows); pre-sizing keeps the per-cycle loops
@@ -200,9 +185,8 @@ MultiscalarProcessor::simulateCycle(uint32_t num_tasks)
     res.stageSlots += cfg.numStages;
 
     sequencerStep();
-    if (frontierOn)
-        collectDue();
     if (frontierOn) {
+        collectDue();
         // O(active-PE) path: visit only the stages whose frontier
         // entry is due.  Stages are visited in the same circular
         // order as the reference loop (offset from the head slot), so
@@ -261,7 +245,6 @@ MultiscalarProcessor::stageNextInteresting(unsigned k, uint64_t cap) const
     const Stage &st = stages[k];
     if (st.task < 0)
         return cap + 1;
-    uint32_t t = static_cast<uint32_t>(st.task);
 
     uint64_t next = cap + 1;
     auto consider = [&](uint64_t c) {
@@ -272,36 +255,20 @@ MultiscalarProcessor::stageNextInteresting(unsigned k, uint64_t cap) const
     // Squash re-fetch point of this stage.
     consider(st.resumeCycle);
 
-    // Ops whose producers have all issued become ready once the
-    // last result arrives over the interconnect (srcReady's
-    // predicate).  An op with an unissued producer has no timed
-    // readiness; the producer's own issue is activity and re-arms
-    // the scan (in frontier mode, via the consumer-CSR wake).
-    // The window is the non-issued range [windowBase, fetchPtr);
-    // the flags-lane kernel hops directly between candidates.
+    // Ops whose producers have all issued become ready when the last
+    // operand arrives.  An op still waiting for a producer (kSrcWait)
+    // has no timed readiness; the producer's own issue is activity
+    // and wakes its stage (onIssued).  The window is the non-issued
+    // range [windowBase, fetchPtr); the flags-lane kernel hops
+    // directly between candidates.
     for (SeqNum seq = static_cast<SeqNum>(simd::nextReadyCandidate(
              state.flagsData(), st.windowBase, st.fetchPtr,
              kNotIssuable));
          seq < st.fetchPtr;
          seq = static_cast<SeqNum>(simd::nextReadyCandidate(
              state.flagsData(), seq + 1, st.fetchPtr, kNotIssuable))) {
-        uint64_t ready = 0;
-        bool timed = true;
-        for (SeqNum src : {trc.src1(seq), trc.src2(seq)}) {
-            if (src == kNoSeq)
-                continue;
-            if (!state.test(src, kIssued)) {
-                timed = false;
-                break;
-            }
-            uint64_t r = state.done(src);
-            uint32_t ptask = trc.taskId(src);
-            if (ptask != t)
-                r += regHops(ptask, t) * cfg.ringHopLatency;
-            ready = std::max(ready, r);
-        }
-        if (timed)
-            consider(ready);
+        checkOperands(seq);
+        consider(srcArrival[seq]);
     }
 
     return next;
@@ -395,6 +362,8 @@ MultiscalarProcessor::collectDue()
 void
 MultiscalarProcessor::wakeStage(unsigned s, uint64_t t)
 {
+    if (!frontierOn)
+        return;
     if (t > cycle) {
         peFrontier->scheduleEarlier(s, t);
         return;
@@ -442,26 +411,70 @@ MultiscalarProcessor::onIssued(SeqNum seq, uint32_t t)
         }
     }
 
-    if (!frontierOn)
-        return;
-
-    // Wake every fetched-or-future consumer at its operand-arrival
-    // time.  Consumers in later tasks pay the interconnect latency;
-    // same-task consumers can issue next cycle at the earliest (the
+    // Deliver the result to every consumer, assigned or not, and wake
+    // in-flight ones at its arrival (next cycle at the earliest: the
     // issue scan already passed seq's window slot this cycle).
-    uint64_t done = state.done(seq);
-    for (uint32_t i = consStart[seq]; i < consStart[seq + 1]; ++i) {
-        SeqNum q = consList[i];
-        uint32_t tq = trc.taskId(q);
-        if (tq < committedTasks || tq >= nextTask)
-            continue;
+    const uint64_t done = state.done(seq);
+    for (SeqNum q : tasks.consumers(seq)) {
+        const uint32_t tq = trc.taskId(q);
         uint64_t arrival = done;
         if (tq != t)
             arrival += regHops(t, tq) * cfg.ringHopLatency;
-        wakeStage(tq % cfg.numStages,
-                  std::max(cycle + 1, arrival));
+        srcArrival[q] = std::max(srcArrival[q], arrival);
+        if (--srcPending[q] == 0)
+            state.clear(q, kSrcWait);
+        if (tq >= committedTasks && tq < nextTask)
+            wakeStage(tq % cfg.numStages, std::max(cycle + 1, arrival));
     }
 }
+
+MultiscalarProcessor::Operands
+MultiscalarProcessor::polledOperands(SeqNum seq) const
+{
+    const uint32_t t = trc.taskId(seq);
+    Operands o;
+    for (SeqNum src : {trc.src1(seq), trc.src2(seq)}) {
+        if (src == kNoSeq)
+            continue;
+        if (!state.test(src, kIssued)) {
+            ++o.pending;
+            continue;
+        }
+        uint64_t r = state.done(src);
+        const uint32_t ptask = trc.taskId(src);
+        if (ptask != t)
+            r += regHops(ptask, t) * cfg.ringHopLatency;
+        o.arrival = std::max(o.arrival, r);
+    }
+    return o;
+}
+
+void
+MultiscalarProcessor::resetOperands(SeqNum seq)
+{
+    const Operands o = polledOperands(seq);
+    srcPending[seq] = o.pending;
+    srcArrival[seq] = o.arrival;
+    if (o.pending)
+        state.set(seq, kSrcWait);
+    else
+        state.clear(seq, kSrcWait);
+}
+
+#ifndef NDEBUG
+void
+MultiscalarProcessor::checkOperands(SeqNum seq) const
+{
+    using ull = unsigned long long;
+    const Operands o = polledOperands(seq);
+    if (o.pending != srcPending[seq] || o.arrival != srcArrival[seq] ||
+        (o.pending != 0) != state.test(seq, kSrcWait))
+        mdp_panic("multiscalar: seq %u woken as (%u, %llu) but polled as "
+                  "(%u, %llu) pending/arrival at cycle %llu",
+                  seq, unsigned{srcPending[seq]}, ull{srcArrival[seq]},
+                  unsigned{o.pending}, ull{o.arrival}, ull{cycle});
+}
+#endif
 
 Addr
 MultiscalarProcessor::taskPc(uint64_t instance) const
@@ -519,43 +532,23 @@ MultiscalarProcessor::sequencerStep()
     ++nextTask;
     act();
 
-    if (frontierOn) {
-        wakeStage(idx, st.resumeCycle);
-        const std::vector<SeqNum> &stores = tasks.stores(t);
-        if (!stores.empty()) {
-            storeHeap.emplace_back(
-                static_cast<uint64_t>(stores.front()), t);
-            std::push_heap(storeHeap.begin(), storeHeap.end(),
-                           std::greater<>{});
-        }
-    }
+    wakeStage(idx, st.resumeCycle);
+    pushFirstStore(t);
+}
+
+void
+MultiscalarProcessor::pushFirstStore(uint32_t t)
+{
+    const std::span<const SeqNum> stores = tasks.stores(t);
+    if (!frontierOn || stores.empty())
+        return;
+    storeHeap.emplace_back(static_cast<uint64_t>(stores.front()), t);
+    std::push_heap(storeHeap.begin(), storeHeap.end(), std::greater<>{});
 }
 
 // ---------------------------------------------------------------------
 // Issue
 // ---------------------------------------------------------------------
-
-bool
-MultiscalarProcessor::srcReady(SeqNum src, uint32_t consumer_task) const
-{
-    if (src == kNoSeq)
-        return true;
-    if (!state.test(src, kIssued))
-        return false;
-    uint32_t ptask = trc.taskId(src);
-    uint64_t ready = state.done(src);
-    if (ptask != consumer_task)
-        ready += regHops(ptask, consumer_task) * cfg.ringHopLatency;
-    return ready <= cycle;
-}
-
-bool
-MultiscalarProcessor::srcsReady(SeqNum seq) const
-{
-    uint32_t t = trc.taskId(seq);
-    return srcReady(trc.src1(seq), t) && srcReady(trc.src2(seq), t);
-}
-
 
 void
 MultiscalarProcessor::classify(SeqNum load, bool predicted, bool actual)
@@ -684,8 +677,7 @@ MultiscalarProcessor::executeStore(SeqNum seq)
         for (SeqNum l : wit->second) {
             if (state.test(l, kBlockedPsync)) {
                 state.clear(l, kBlockedPsync);
-                if (frontierOn)
-                    wakeStage(trc.taskId(l) % cfg.numStages, cycle);
+                wakeStage(trc.taskId(l) % cfg.numStages, cycle);
             }
         }
         psyncWaiters.erase(wit);
@@ -708,8 +700,7 @@ MultiscalarProcessor::executeStore(SeqNum seq)
                     state.clear(l, kPredPendingY);
                     classify(l, true, true);
                 }
-                if (frontierOn)
-                    wakeStage(trc.taskId(l) % cfg.numStages, cycle);
+                wakeStage(trc.taskId(l) % cfg.numStages, cycle);
             }
         }
     }
@@ -722,7 +713,7 @@ MultiscalarProcessor::executeStore(SeqNum seq)
 uint64_t
 MultiscalarProcessor::firstUnexecutedStore(uint32_t t)
 {
-    const std::vector<SeqNum> &stores = tasks.stores(t);
+    const std::span<const SeqNum> stores = tasks.stores(t);
     TaskRun &tr = taskRun[t];
     while (tr.storePtr < stores.size() &&
            state.test(stores[tr.storePtr], kIssued)) {
@@ -873,8 +864,9 @@ MultiscalarProcessor::issueOne(SeqNum seq, uint32_t t, Stage &stage,
                                unsigned &fp_fu, unsigned &branch_fu,
                                unsigned &mem_ports, unsigned &issued)
 {
-    if (!srcsReady(seq))
-        return;
+    checkOperands(seq);
+    if (srcArrival[seq] > cycle)
+        return;   // an operand is still on its way
 
     const OpKind kind = trc.kind(seq);
     if (isMem(kind)) {
@@ -948,8 +940,7 @@ MultiscalarProcessor::frontierScan()
             if (bound >= seq) {
                 state.clear(seq, kBlockedFrontier);
                 act();
-                if (frontierOn)
-                    wakeStage(trc.taskId(seq) % cfg.numStages,
+                wakeStage(trc.taskId(seq) % cfg.numStages,
                               cycle + 1);
                 return false;
             }
@@ -981,8 +972,7 @@ MultiscalarProcessor::frontierScan()
                     classify(seq, true, false);
                 }
                 ++res.frontierReleases;
-                if (frontierOn)
-                    wakeStage(trc.taskId(seq) % cfg.numStages,
+                wakeStage(trc.taskId(seq) % cfg.numStages,
                               cycle + 1);
                 return false;
             }
@@ -1016,8 +1006,7 @@ MultiscalarProcessor::drainSyncReleases()
                 state.clear(l, kPredPendingY);
                 classify(l, true, false);
             }
-            if (frontierOn)
-                wakeStage(trc.taskId(l) % cfg.numStages, cycle + 1);
+            wakeStage(trc.taskId(l) % cfg.numStages, cycle + 1);
         }
     }
 }
@@ -1069,74 +1058,63 @@ MultiscalarProcessor::squashFrom(SeqNum squash_start)
 {
     act();
     uint32_t task0 = trc.taskId(squash_start);
+    const SeqNum unassigned =
+        tasks.taskStart(static_cast<uint32_t>(nextTask));
 
     // Reset every op from the squash point to the youngest assigned
     // instruction.  Work older than the offending load survives, as in
     // the paper ("instructions following the load are squashed").
+    // Operand state is recomputed in ascending seq, so every producer
+    // is final before its consumers read it; consumers of a squashed
+    // result in a not-yet-assigned task are recomputed too.
     for (uint64_t t = task0; t < nextTask; ++t) {
         uint32_t tt = static_cast<uint32_t>(t);
         SeqNum begin = std::max(tasks.taskStart(tt), squash_start);
         SeqNum end = tasks.taskEnd(tt);
 
         for (SeqNum s = begin; s < end; ++s) {
-            if (state.test(s, kIssued)) {
-                ++res.squashedOps;
-                if (trc.isLoad(s))
-                    arb.removeLoad(trc.addr(s), s);
-                else if (trc.isStore(s))
-                    arb.removeStore(trc.addr(s), s);
-            }
+            const bool issued = state.test(s, kIssued);
             state.resetOp(s);
+            resetOperands(s);
+            if (!issued)
+                continue;
+            ++res.squashedOps;
+            if (trc.isLoad(s))
+                arb.removeLoad(trc.addr(s), s);
+            else if (trc.isStore(s))
+                arb.removeStore(trc.addr(s), s);
+            for (SeqNum q : tasks.consumers(s)) {
+                if (q >= unassigned)
+                    resetOperands(q);
+            }
         }
 
+        // Recount what survives in the task (only task0 keeps a
+        // prefix) and rewind an assigned task's fetch to the squash
+        // point.  The violating load was fetched, so fetchPtr was past
+        // it; the surviving window is the prefix minus its issued ops.
+        TaskRun &tr = taskRun[tt];
+        tr = TaskRun{};
+        for (SeqNum s = tasks.taskStart(tt); s < begin; ++s) {
+            if (state.test(s, kIssued)) {
+                ++tr.issuedOps;
+                tr.lastDone = std::max(tr.lastDone, state.done(s));
+            }
+        }
         Stage &st = stages[tt % cfg.numStages];
-        if (tt == task0) {
-            // Partial squash: recompute the surviving prefix state.
-            TaskRun &tr = taskRun[tt];
-            tr = TaskRun{};
-            for (SeqNum s = tasks.taskStart(tt); s < squash_start; ++s) {
-                if (state.test(s, kIssued)) {
-                    ++tr.issuedOps;
-                    tr.lastDone = std::max(tr.lastDone, state.done(s));
-                }
-            }
-            if (st.task == static_cast<int64_t>(t)) {
-                // The violating load was fetched, so fetchPtr was past
-                // the squash point; rewind it.  The surviving window is
-                // the non-issued prefix ops: the prefix length minus
-                // the issued ops the TaskRun pass just recounted.
-                st.fetchPtr = squash_start;
-                st.windowBase = std::min(st.windowBase, squash_start);
-                st.windowCount = static_cast<uint32_t>(
-                    (squash_start - tasks.taskStart(tt)) - tr.issuedOps);
-                st.resumeCycle = cycle + cfg.squashPenalty;
-                if (frontierOn)
-                    wakeStage(tt % cfg.numStages, st.resumeCycle);
-            }
-        } else {
-            taskRun[tt] = TaskRun{};
-            if (st.task == static_cast<int64_t>(t)) {
-                st.fetchPtr = tasks.taskStart(tt);
-                st.windowBase = st.fetchPtr;
-                st.windowCount = 0;
-                st.resumeCycle = cycle + cfg.squashPenalty;
-                if (frontierOn)
-                    wakeStage(tt % cfg.numStages, st.resumeCycle);
-            }
+        if (st.task == static_cast<int64_t>(t)) {
+            st.fetchPtr = begin;
+            st.windowBase = std::min(st.windowBase, begin);
+            st.windowCount = static_cast<uint32_t>(
+                (begin - tasks.taskStart(tt)) - tr.issuedOps);
+            st.resumeCycle = cycle + cfg.squashPenalty;
+            wakeStage(tt % cfg.numStages, st.resumeCycle);
         }
 
         // The storePtr rewind above invalidates the lazy store-heap
         // invariant (keys may now overstate a task's first-unexecuted
         // store); a fresh conservative entry restores it.
-        if (frontierOn) {
-            const std::vector<SeqNum> &stores = tasks.stores(tt);
-            if (!stores.empty()) {
-                storeHeap.emplace_back(
-                    static_cast<uint64_t>(stores.front()), tt);
-                std::push_heap(storeHeap.begin(), storeHeap.end(),
-                               std::greater<>{});
-            }
-        }
+        pushFirstStore(tt);
     }
 
     // Purge bookkeeping that refers to squashed operations.

@@ -71,10 +71,12 @@ class MultiscalarProcessor : public TaskPcSource
     /** The load consumed a predicted value instead of synchronizing
      *  (VSync); a violation by a value-repeating store is benign. */
     static constexpr uint16_t kValuePred = 1 << 8;
+    /** A register producer has not issued yet (srcPending > 0). */
+    static constexpr uint16_t kSrcWait = 1 << 9;
 
     /** Flags that take an op out of the issue scan. */
-    static constexpr uint16_t kNotIssuable =
-        kIssued | kBlockedSync | kBlockedFrontier | kBlockedPsync;
+    static constexpr uint16_t kNotIssuable = kIssued | kBlockedSync |
+        kBlockedFrontier | kBlockedPsync | kSrcWait;
 
     /**
      * A ring slot.  The scheduling window is a *range view* over the
@@ -138,7 +140,8 @@ class MultiscalarProcessor : public TaskPcSource
     void collectDue();
 
     /**
-     * Lower stage @p s's park time to @p t.  A wake at the current
+     * Lower stage @p s's park time to @p t (a no-op without the
+     * frontier).  A wake at the current
      * cycle (a flag cleared mid stage-loop by another stage's store)
      * splices the stage into the remainder of this cycle's due walk
      * when its ring position has not been passed yet -- exactly the
@@ -147,9 +150,28 @@ class MultiscalarProcessor : public TaskPcSource
      */
     void wakeStage(unsigned s, uint64_t t);
 
-    /** Producer @p seq (task @p t) issued: forwarding statistics, and
-     *  wake each consumer's stage at its value-arrival cycle. */
+    /** Producer @p seq (task @p t) issued: forwarding statistics,
+     *  deliver the operand to every consumer, and wake each in-flight
+     *  consumer's stage at its value-arrival cycle. */
     void onIssued(SeqNum seq, uint32_t t);
+
+    /** Operand state of one op, polled from its producers' flags,
+     *  completion times and hops. */
+    struct Operands
+    {
+        uint8_t pending = 0;    ///< producers not issued yet
+        uint64_t arrival = 0;   ///< last arrival among issued ones
+    };
+    Operands polledOperands(SeqNum seq) const;
+    /** Squash recovery: re-poll the operand state of @p seq. */
+    void resetOperands(SeqNum seq);
+    /** Debug builds panic unless the woken operand state of @p seq
+     *  equals polledOperands(); release builds check nothing. */
+#ifdef NDEBUG
+    void checkOperands(SeqNum) const {}
+#else
+    void checkOperands(SeqNum seq) const;
+#endif
 
     /**
      * The per-stage portion of nextInterestingCycle() -- squash
@@ -189,6 +211,9 @@ class MultiscalarProcessor : public TaskPcSource
      */
     uint64_t storeFrontierBoundFast();
 
+    /** Frontier mode: push task @p t's first store onto storeHeap. */
+    void pushFirstStore(uint32_t t);
+
     /** Record a semantic mutation: licenses no fast-forward jump this
      *  cycle, and marks the currently stepped stage as active. */
     void
@@ -221,9 +246,6 @@ class MultiscalarProcessor : public TaskPcSource
     uint64_t nextInterestingCycle(uint64_t cap) const;
 
     // --- issue helpers ----------------------------------------------
-    bool srcsReady(SeqNum seq) const;
-    bool srcReady(SeqNum src, uint32_t consumer_task) const;
-
     /** Try to issue a memory op; returns true if it issued (or became
      *  blocked -- in either case the window slot is handled). */
     bool tryIssueMem(SeqNum seq, unsigned &mem_ports);
@@ -277,6 +299,11 @@ class MultiscalarProcessor : public TaskPcSource
     /** Per-op completion-time and status lanes (SoA; the dense scans
      *  run as compare-mask kernels over the packed lanes). */
     OpLanes state;
+    /** Woken operand state per op, kept by onIssued: when the last
+     *  operand arrives (max over issued producers) and how many
+     *  producers have not issued; kSrcWait mirrors a nonzero count. */
+    std::vector<uint64_t> srcArrival;
+    std::vector<uint8_t> srcPending;
     std::vector<TaskRun> taskRun;
     std::vector<Stage> stages;
 
@@ -309,11 +336,6 @@ class MultiscalarProcessor : public TaskPcSource
      *  unchanged provably did nothing and parks at its exact next
      *  interesting cycle. */
     uint64_t actStamp = 0;
-
-    /** Consumer CSR over the trace (built only for the frontier):
-     *  consumers of op s are consList[consStart[s] .. consStart[s+1]). */
-    std::vector<uint32_t> consStart;
-    std::vector<SeqNum> consList;
 
     /** Lazy (first possibly-unexecuted store, task) min-heap behind
      *  storeFrontierBoundFast(); std::greater order on the pair. */

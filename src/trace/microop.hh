@@ -84,10 +84,10 @@ struct MicroOp
 {
     Addr pc = 0;            ///< static instruction address
     Addr addr = 0;          ///< effective address (mem ops only)
+    Addr taskPc = 0;        ///< PC of the first instruction of the task
     SeqNum src1 = kNoSeq;   ///< register producer (sequence number)
     SeqNum src2 = kNoSeq;   ///< second register producer
     uint32_t taskId = 0;    ///< Multiscalar task index (monotonic)
-    Addr taskPc = 0;        ///< PC of the first instruction of the task
     OpKind kind = OpKind::IntAlu;
     /** Stores only: this instance writes the same value as the
      *  previous dynamic instance of the same static store (drives the
@@ -98,6 +98,9 @@ struct MicroOp
     bool isStore() const { return kind == OpKind::Store; }
     bool isMemOp() const { return isMem(kind); }
 };
+
+// Widest fields first, so the record packs without interior padding.
+static_assert(sizeof(MicroOp) == 40, "MicroOp grew or gained padding");
 
 } // namespace mdp
 

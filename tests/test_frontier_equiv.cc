@@ -413,6 +413,56 @@ TEST(FrontierEquiv, ArbShardingIsSemanticallyInvisible)
     }
 }
 
+/**
+ * Task 0 stores X at the end of a divide chain; task 1 loads X early
+ * and feeds the value to P; task 2 reads P through both sources
+ * (src1 == src2) and heads a divide chain.  On two stages task 2 is
+ * not assigned when the store squashes task 1, so P's first issue had
+ * already delivered its operand to an op of an unassigned task, and
+ * squash recovery must take that delivery back.
+ */
+Trace
+squashIntoUnassignedTrace()
+{
+    TraceBuilder b("squash_unassigned");
+    b.beginTask(0x1000);
+    SeqNum d = b.op(OpKind::IntDiv, 0x10);
+    for (int i = 0; i < 3; ++i)
+        d = b.op(OpKind::IntDiv, 0x14, d);
+    b.store(0x20, 0x8000, kNoSeq, d);
+    b.beginTask(0x1040);
+    SeqNum p = b.alu(0x34, b.load(0x30, 0x8000));
+    b.beginTask(0x1080);
+    SeqNum c = b.alu(0x40, p, p);
+    for (int i = 0; i < 3; ++i)
+        c = b.op(OpKind::IntDiv, 0x44, c);
+    return b.take();
+}
+
+TEST(FrontierEquiv, SquashTakesBackOperandsOfUnassignedTasks)
+{
+    // Both scheduler modes share the woken operand state, so they
+    // cannot check each other here: the exact cycle count below is
+    // the one the polled readiness predicate (both producers' flags,
+    // completion times and hops, re-derived at every issue attempt)
+    // gave for this trace.  A consumer that kept the squashed
+    // delivery would start task 2's chain early and finish sooner;
+    // Debug builds also panic at its issue attempt.
+    Trace trc = squashIntoUnassignedTrace();
+    TraceView view(trc);
+    DepOracle oracle(view);
+    TaskSet tasks(view);
+    for (bool frontier : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "frontier=" << frontier);
+        SimResult r = runMode(view, oracle, tasks, "always",
+                              Topology::Ring, 2, frontier);
+        EXPECT_EQ(r.misSpeculations, 1u);
+        EXPECT_EQ(r.squashedOps, 2u);   // the load and P
+        EXPECT_EQ(r.committedOps, trc.size());
+        EXPECT_EQ(r.cycles, 96u);
+    }
+}
+
 TEST(FrontierEquiv, IdleHeavyMachineSkipsMostStageVisits)
 {
     // The point of the frontier: on a machine much wider than its

@@ -103,6 +103,24 @@ class MdpLintCliTest(unittest.TestCase):
         self.assertEqual(r.returncode, 1, r.stderr)
         self.assertEqual(os.listdir(build), [])
 
+    def test_build_prefixed_file_is_linted(self):
+        # Only a directory named build or build-* is a build tree; a
+        # source file whose name merely starts with "build" is linted.
+        os.remove(os.path.join(self.root, "src", "mdp", "bad.cc"))
+        os.remove(os.path.join(self.root, "src", "base", "ok.cc"))
+        self.write("src/mdp/builder.cc", BAD_CC)
+        r = self.lint()
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("src/mdp/builder.cc:4: [nondet-source]", r.stdout)
+
+    def test_build_tree_files_are_skipped(self):
+        for d in ("src/build", "src/build-asan"):
+            os.makedirs(os.path.join(self.root, d))
+            self.write(d + "/gen.cc", BAD_CC)
+        os.remove(os.path.join(self.root, "src", "mdp", "bad.cc"))
+        r = self.lint()
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+
     # ---- rule listing and filters -----------------------------------
 
     def test_list_rules_documents_every_rule(self):

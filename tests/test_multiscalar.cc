@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
+#include "base/random.hh"
 #include "harness/runner.hh"
 #include "multiscalar/processor.hh"
+#include "multiscalar/task_info.hh"
 #include "trace/builder.hh"
 #include "workloads/suites.hh"
 
@@ -289,6 +295,121 @@ TEST_P(Organizations, EndToEndReducesMisspecs)
     SimResult always = runMultiscalar(ctx, cfg);
     EXPECT_EQ(sync.committedOps, ctx.trace().size());
     EXPECT_LT(sync.misSpeculations, always.misSpeculations);
+}
+
+// --------------------------------------------------------------------
+// TaskSet: the per-trace index against a naive scan
+// --------------------------------------------------------------------
+
+std::vector<SeqNum>
+toVector(std::span<const SeqNum> s)
+{
+    return {s.begin(), s.end()};
+}
+
+/** Every TaskSet field equals a direct scan of the trace. */
+void
+expectIndexMatchesScan(const Trace &trc)
+{
+    TraceView view(trc);
+    TaskSet tasks(view);
+    const auto n = static_cast<SeqNum>(trc.size());
+
+    std::vector<std::vector<SeqNum>> consumers(n);
+    ASSERT_EQ(tasks.producerCounts().size(), n);
+    for (SeqNum s = 0; s < n; ++s) {
+        unsigned count = 0;
+        for (SeqNum src : {trc[s].src1, trc[s].src2}) {
+            if (src != kNoSeq) {
+                consumers[src].push_back(s);
+                ++count;
+            }
+        }
+        EXPECT_EQ(tasks.producerCounts()[s], count) << "seq " << s;
+    }
+    for (SeqNum s = 0; s < n; ++s)
+        EXPECT_EQ(toVector(tasks.consumers(s)), consumers[s]) << "seq " << s;
+
+    const std::vector<SeqNum> bounds = trc.taskBoundaries();
+    ASSERT_EQ(tasks.numTasks(), trc.numTasks());
+    ASSERT_EQ(bounds.size(), size_t{tasks.numTasks()} + 1);
+    for (uint32_t t = 0; t < tasks.numTasks(); ++t) {
+        EXPECT_EQ(tasks.taskStart(t), bounds[t]);
+        EXPECT_EQ(tasks.taskEnd(t), bounds[t + 1]);
+        EXPECT_EQ(tasks.taskPc(t), trc[bounds[t]].taskPc);
+        std::vector<SeqNum> loads;
+        std::vector<SeqNum> stores;
+        for (SeqNum s = bounds[t]; s < bounds[t + 1]; ++s) {
+            if (trc[s].isLoad())
+                loads.push_back(s);
+            else if (trc[s].isStore())
+                stores.push_back(s);
+        }
+        EXPECT_EQ(toVector(tasks.loads(t)), loads) << "task " << t;
+        EXPECT_EQ(toVector(tasks.stores(t)), stores) << "task " << t;
+    }
+}
+
+TEST(TaskSetIndex, MatchesScanOnGeneratedTraces)
+{
+    for (const std::string &name : specInt92Names()) {
+        for (uint64_t seed : {1u, 77u}) {
+            SCOPED_TRACE(name + " seed " + std::to_string(seed));
+            expectIndexMatchesScan(findWorkload(name).generate(0.005, seed));
+        }
+    }
+}
+
+TEST(TaskSetIndex, MatchesScanOnRandomDataflow)
+{
+    // Random producers, with src1 == src2 ops, sourceless ops and
+    // tasks that hold no memory op at all.
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Pcg32 rng(seed);
+        TraceBuilder b("index");
+        std::vector<SeqNum> produced;
+        bool saw_same = false;
+        bool saw_memless = false;
+        const unsigned num_tasks = 6 + rng.below(10);
+        for (unsigned t = 0; t < num_tasks; ++t) {
+            b.beginTask(0x1000 + t * 0x40);
+            const bool memless = rng.below(3) == 0;
+            saw_memless = saw_memless || memless;
+            const unsigned ops = 1 + rng.below(12);
+            for (unsigned i = 0; i < ops; ++i) {
+                auto pick = [&] {
+                    return produced.empty() || rng.below(4) == 0
+                        ? kNoSeq
+                        : produced[rng.below(static_cast<uint32_t>(
+                              produced.size()))];
+                };
+                const SeqNum s1 = pick();
+                const SeqNum s2 = rng.below(3) == 0 ? s1 : pick();
+                saw_same = saw_same || (s1 == s2 && s1 != kNoSeq);
+                const uint32_t kind = memless ? 9 : rng.below(10);
+                const Addr addr = 0x8000 + rng.below(16) * 8;
+                if (kind < 3)
+                    produced.push_back(b.load(0x100, addr, s1));
+                else if (kind < 5)
+                    produced.push_back(b.store(0x200, addr, s1, s2));
+                else
+                    produced.push_back(b.alu(0x300, s1, s2));
+            }
+        }
+        EXPECT_TRUE(saw_same);
+        EXPECT_TRUE(saw_memless);
+        expectIndexMatchesScan(b.take());
+    }
+}
+
+TEST(TaskSetIndex, EmptyTrace)
+{
+    Trace empty("empty");
+    TaskSet tasks{TraceView(empty)};
+    EXPECT_EQ(tasks.numTasks(), 0u);
+    EXPECT_TRUE(tasks.producerCounts().empty());
+    expectIndexMatchesScan(empty);
 }
 
 /** Every registered workload (including all SPEC95 FP profiles) runs

@@ -768,6 +768,24 @@ codeView(const std::string &text)
     return out;
 }
 
+namespace
+{
+
+/** A directory component of @p rel is a build tree (`build` or
+ *  `build-*`, as .gitignore has them); file names never match. */
+bool
+inBuildTree(const std::string &rel)
+{
+    for (const fs::path &dir : fs::path(rel).parent_path()) {
+        const std::string name = dir.string();
+        if (name == "build" || startsWith(name, "build-"))
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
 std::vector<std::string>
 discoverFiles(const std::string &root)
 {
@@ -787,8 +805,7 @@ discoverFiles(const std::string &root)
                 fs::relative(entry.path(), root).generic_string();
             if (rel.find("lint_fixtures") != std::string::npos)
                 continue;
-            if (rel.find("/build") != std::string::npos ||
-                startsWith(rel, "build"))
+            if (inBuildTree(rel))
                 continue;
             bool keep = false;
             for (const char *ext : kExts)
