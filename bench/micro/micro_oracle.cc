@@ -39,19 +39,19 @@ oracleBuildKernel(const WorkloadContext &ctx)
 uint64_t
 arbChurnKernel()
 {
-    Arb arb;
+    Arb arb(1024);
     uint64_t sum = 0;
     SeqNum seq = 0;
     for (uint64_t it = 0; it < 400000; ++it) {
-        // Deterministic pseudo-random address stream over 1024 lines.
-        const Addr a = (it * 2654435761ULL) & 0x3FF;
+        // Deterministic pseudo-random stream over 1024 address ids.
+        const AddrId id = static_cast<AddrId>((it * 2654435761ULL) & 0x3FF);
         const uint32_t task = static_cast<uint32_t>(it >> 6);
         if (it % 3 == 0) {
-            sum = mixChecksum(sum, arb.storeExecuted(a, seq, task));
-            arb.commitStore(a, seq);
+            sum = mixChecksum(sum, arb.storeExecuted(id, seq, task));
+            arb.commitStore(id, seq);
         } else {
-            sum = mixChecksum(sum, arb.loadExecuted(a, seq, task));
-            arb.commitLoad(a, seq);
+            sum = mixChecksum(sum, arb.loadExecuted(id, seq, task));
+            arb.commitLoad(id, seq);
         }
         ++seq;
     }

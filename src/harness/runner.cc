@@ -35,14 +35,8 @@ WorkloadContext::WorkloadContext(const std::string &workload_name,
     }
     view = mapped ? mapped->view() : TraceView(trc);
 
-    {
-        ScopedPhase phase("oracle_build");
-        orc = std::make_unique<DepOracle>(view);
-    }
-    {
-        ScopedPhase phase("task_set_build");
-        tset = std::make_unique<TaskSet>(view);
-    }
+    ScopedPhase phase("oracle_build");
+    orc = std::make_unique<DepOracle>(view);
 }
 
 WorkloadContext::WorkloadContext(Trace trace,
@@ -51,7 +45,16 @@ WorkloadContext::WorkloadContext(Trace trace,
       trc(std::move(trace)), view(trc)
 {
     orc = std::make_unique<DepOracle>(view);
-    tset = std::make_unique<TaskSet>(view);
+}
+
+const TaskSet &
+WorkloadContext::tasks() const
+{
+    std::call_once(tsetOnce, [this] {
+        ScopedPhase phase("task_set_build");
+        tset = std::make_unique<TaskSet>(view);
+    });
+    return *tset;
 }
 
 MultiscalarConfig
@@ -69,9 +72,9 @@ makeMultiscalarConfig(const WorkloadContext &ctx, unsigned stages,
 SimResult
 runMultiscalar(const WorkloadContext &ctx, const MultiscalarConfig &cfg)
 {
+    const TaskSet &tasks = ctx.tasks();   // built outside "simulate"
     ScopedPhase phase("simulate");
-    MultiscalarProcessor proc(ctx.trace(), ctx.oracle(), ctx.tasks(),
-                              cfg);
+    MultiscalarProcessor proc(ctx.trace(), ctx.oracle(), tasks, cfg);
     SimResult r = proc.run();
     addCycleStats(r.cyclesSimulated, r.cyclesSkipped, r.stageVisits,
                   r.stageSlots);

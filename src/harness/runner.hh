@@ -9,6 +9,7 @@
 #define MDP_HARNESS_RUNNER_HH
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "multiscalar/config.hh"
@@ -50,7 +51,10 @@ class WorkloadContext
 
     const TraceView &trace() const { return view; }
     const DepOracle &oracle() const { return *orc; }
-    const TaskSet &tasks() const { return *tset; }
+    /** The task partitioning, built on the first call: only the
+     *  Multiscalar model reads it.  Thread-safe, since server and pool
+     *  threads share contexts. */
+    const TaskSet &tasks() const;
     const std::string &name() const { return wname; }
 
     /** @return true when the trace came from the persistent cache. */
@@ -67,7 +71,8 @@ class WorkloadContext
     std::unique_ptr<MappedTrace> mapped; ///< cache-backed trace
     TraceView view;                      ///< whichever backing is live
     std::unique_ptr<DepOracle> orc;
-    std::unique_ptr<TaskSet> tset;
+    mutable std::once_flag tsetOnce;
+    mutable std::unique_ptr<TaskSet> tset;
 };
 
 /**

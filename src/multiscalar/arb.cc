@@ -1,7 +1,5 @@
 #include "multiscalar/arb.hh"
 
-#include <algorithm>
-
 #include "base/simd_kernels.hh"
 
 namespace mdp
@@ -12,129 +10,114 @@ namespace mdp
 static_assert(simd::kNone32 == kNoSeq,
               "ARB probes assume the kernel sentinel equals kNoSeq");
 
-SeqNum
-Arb::loadExecuted(Addr addr, SeqNum load, uint32_t load_task)
+Arb::Arb(size_t num_addrs)
+    : loads(num_addrs), inflightStores(num_addrs),
+      committedVersion(num_addrs, kNoSeq)
 {
-    SeqNum version = kNoSeq;
-    if (const SeqNum *cv = committedVersion.find(addr))
-        version = *cv;
+}
 
-    if (const auto *stores = inflightStores.find(addr)) {
-        // Newest in-flight store older than the load; it supersedes
-        // the committed version when younger.
-        SeqNum newest = simd::maxStoreBelow(stores->data(),
-                                            stores->size(), load);
-        if (newest != kNoSeq && (version == kNoSeq || newest > version))
-            version = newest;
+size_t
+Arb::LoadLanes::eraseSeq(SeqNum s)
+{
+    size_t w = 0;
+    for (size_t r = 0; r < seq.size(); ++r) {
+        if (seq[r] == s)
+            continue;
+        seq[w] = seq[r];
+        version[w] = version[r];
+        task[w] = task[r];
+        ++w;
     }
+    const size_t removed = seq.size() - w;
+    seq.resize(w);
+    version.resize(w);
+    task.resize(w);
+    return removed;
+}
 
-    LoadLanes &lanes = loads[addr];
-    if (lanes.seq.capacity() == 0 && !laneFreelist.empty()) {
-        lanes = std::move(laneFreelist.back());
-        laneFreelist.pop_back();
-    }
-    lanes.push(load, version, load_task);
+SeqNum
+Arb::loadExecuted(AddrId id, SeqNum load, uint32_t load_task)
+{
+    if (id == kNoAddr)
+        return kNoSeq;
+
+    // Newest in-flight store older than the load; it supersedes the
+    // committed version when younger.
+    SeqNum version = committedVersion[id];
+    const std::vector<SeqNum> &stores = inflightStores[id];
+    SeqNum newest = simd::maxStoreBelow(stores.data(), stores.size(),
+                                        load);
+    if (newest != kNoSeq && (version == kNoSeq || newest > version))
+        version = newest;
+
+    loads[id].push(load, version, load_task);
     ++numTrackedLoads;
     return version;
 }
 
 SeqNum
-Arb::findViolator(Addr addr, SeqNum store, uint32_t store_task) const
+Arb::findViolator(AddrId id, SeqNum store, uint32_t store_task) const
 {
-    const auto *les = loads.find(addr);
-    if (!les)
-        return kNoSeq;
-    return simd::earliestViolator(les->seq.data(), les->version.data(),
-                                  les->task.data(), les->size(), store,
+    const LoadLanes &les = loads[id];
+    return simd::earliestViolator(les.seq.data(), les.version.data(),
+                                  les.task.data(), les.size(), store,
                                   store_task);
 }
 
 SeqNum
-Arb::storeExecuted(Addr addr, SeqNum store, uint32_t store_task)
+Arb::storeExecuted(AddrId id, SeqNum store, uint32_t store_task)
 {
-    SeqNum violator = findViolator(addr, store, store_task);
-    inflightStores[addr].push_back(store);
+    SeqNum violator = findViolator(id, store, store_task);
+    inflightStores[id].push_back(store);
     return violator;
 }
 
 void
-Arb::refreshLoadVersion(Addr addr, SeqNum load, SeqNum version)
+Arb::refreshLoadVersion(AddrId id, SeqNum load, SeqNum version)
 {
-    auto *les = loads.find(addr);
-    if (!les)
+    if (id == kNoAddr)
         return;
-    for (size_t i = 0; i < les->size(); ++i) {
-        if (les->seq[i] == load &&
-            (les->version[i] == kNoSeq || les->version[i] < version)) {
-            les->version[i] = version;
+    LoadLanes &les = loads[id];
+    for (size_t i = 0; i < les.size(); ++i) {
+        if (les.seq[i] == load &&
+            (les.version[i] == kNoSeq || les.version[i] < version)) {
+            les.version[i] = version;
         }
     }
 }
 
-namespace
-{
-
-template <typename T, typename Pred>
 void
-eraseIf(std::vector<T> &v, Pred pred)
+Arb::commitLoad(AddrId id, SeqNum load)
 {
-    v.erase(std::remove_if(v.begin(), v.end(), pred), v.end());
-}
-
-} // namespace
-
-void
-Arb::commitLoad(Addr addr, SeqNum load)
-{
-    auto *les = loads.find(addr);
-    if (!les)
-        return;
-    size_t removed = 0;
-    les->eraseSeq(load, removed);
-    numTrackedLoads -= removed;
-    if (les->empty()) {
-        laneFreelist.push_back(std::move(*les));
-        loads.erase(addr);
-    }
+    if (id != kNoAddr)
+        numTrackedLoads -= loads[id].eraseSeq(load);
 }
 
 void
-Arb::commitStore(Addr addr, SeqNum store)
+Arb::commitStore(AddrId id, SeqNum store)
 {
-    if (auto *stores = inflightStores.find(addr)) {
-        eraseIf(*stores, [store](SeqNum s) { return s == store; });
-        if (stores->empty())
-            inflightStores.erase(addr);
-    }
-    const SeqNum *cv = committedVersion.find(addr);
-    if (!cv || *cv == kNoSeq || *cv < store)
-        committedVersion[addr] = store;
+    removeStore(id, store);
+    SeqNum &cv = committedVersion[id];
+    if (cv == kNoSeq || cv < store)
+        cv = store;
 }
 
 void
-Arb::removeLoad(Addr addr, SeqNum load)
+Arb::removeLoad(AddrId id, SeqNum load)
 {
-    commitLoad(addr, load);    // same bookkeeping: drop the entry
+    commitLoad(id, load);    // same bookkeeping: drop the entry
 }
 
 void
-Arb::removeStore(Addr addr, SeqNum store)
+Arb::removeStore(AddrId id, SeqNum store)
 {
-    auto *stores = inflightStores.find(addr);
-    if (!stores)
-        return;
-    eraseIf(*stores, [store](SeqNum s) { return s == store; });
-    if (stores->empty())
-        inflightStores.erase(addr);
+    std::erase(inflightStores[id], store);
 }
 
 void
 Arb::reset()
 {
-    loads.clear();
-    inflightStores.clear();
-    committedVersion.clear();
-    numTrackedLoads = 0;
+    *this = Arb(loads.size());
 }
 
 } // namespace mdp

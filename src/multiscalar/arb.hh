@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/flat_hash.hh"
 #include "trace/microop.hh"
 
 namespace mdp
@@ -22,33 +21,47 @@ namespace mdp
 /**
  * Violation detector and version oracle over the in-flight window.
  *
+ * Addresses arrive as the trace's dense ids (DepOracle::addrId), so
+ * every per-address table is a direct-indexed vector: no operation
+ * hashes, and a probe touches one slot at any machine width.
+ *
+ * A load whose id is kNoAddr has no older store to its address.  Both
+ * timing models commit in order, so every store that has committed
+ * when it executes is older, and it observes kNoSeq; a store only
+ * violates younger loads, so it can never be a violator.  Such a load
+ * is therefore not recorded, and the load-side calls ignore it.
+ *
  * The owner calls loadExecuted()/storeExecuted() at execution,
  * commit*() at task commit, and remove*() for squashed operations.
  */
 class Arb
 {
   public:
+    /** @param num_addrs the id space, DepOracle::numAddrs(). */
+    explicit Arb(size_t num_addrs);
+
     /**
      * Record an executing load and determine the version (store
      * sequence number) it observes: the newest executed or committed
      * store to the address older than the load, kNoSeq if none.
      */
-    SeqNum loadExecuted(Addr addr, SeqNum load, uint32_t load_task);
+    SeqNum loadExecuted(AddrId id, SeqNum load, uint32_t load_task);
 
     /**
-     * Record an executing store and check for violations.
+     * Record an executing store and check for violations.  A store's
+     * id is never kNoAddr.
      * @return the sequence number of the *earliest* executed load that
      * (a) is younger than the store, (b) belongs to a later task, and
      * (c) observed a version older than this store -- or kNoSeq when
      * the speculation was safe.
      */
-    SeqNum storeExecuted(Addr addr, SeqNum store, uint32_t store_task);
+    SeqNum storeExecuted(AddrId id, SeqNum store, uint32_t store_task);
 
     /**
      * Re-scan for a violator without re-recording the store (used
      * after a benign value-predicted violation is absorbed).
      */
-    SeqNum findViolator(Addr addr, SeqNum store,
+    SeqNum findViolator(AddrId id, SeqNum store,
                         uint32_t store_task) const;
 
     /**
@@ -56,19 +69,19 @@ class Arb
      * prediction absorbed the store's effect, so the load now counts
      * as having seen it.
      */
-    void refreshLoadVersion(Addr addr, SeqNum load, SeqNum version);
+    void refreshLoadVersion(AddrId id, SeqNum load, SeqNum version);
 
     /** Retire a load: it can no longer be violated. */
-    void commitLoad(Addr addr, SeqNum load);
+    void commitLoad(AddrId id, SeqNum load);
 
     /** Retire a store: fold it into the committed version. */
-    void commitStore(Addr addr, SeqNum store);
+    void commitStore(AddrId id, SeqNum store);
 
     /** Remove a squashed, previously executed load. */
-    void removeLoad(Addr addr, SeqNum load);
+    void removeLoad(AddrId id, SeqNum load);
 
     /** Remove a squashed, previously executed store. */
-    void removeStore(Addr addr, SeqNum store);
+    void removeStore(AddrId id, SeqNum store);
 
     void reset();
 
@@ -80,7 +93,9 @@ class Arb
      * Per-address executed-load records in SoA form: three parallel
      * lanes (sequence number, observed version, owning task) so the
      * violation probe runs as one compare-mask kernel over packed
-     * 32-bit lanes instead of striding over 12-byte records.
+     * 32-bit lanes instead of striding over 12-byte records.  Lanes
+     * keep their capacity when they empty, so refills after commit
+     * do not allocate.
      */
     struct LoadLanes
     {
@@ -89,7 +104,6 @@ class Arb
         std::vector<uint32_t> task;
 
         size_t size() const { return seq.size(); }
-        bool empty() const { return seq.empty(); }
 
         void
         push(SeqNum s, SeqNum v, uint32_t t)
@@ -99,150 +113,16 @@ class Arb
             task.push_back(t);
         }
 
-        /** Drop every record whose seq matches, keeping lane order. */
-        void
-        eraseSeq(SeqNum s, size_t &removed)
-        {
-            size_t w = 0;
-            for (size_t r = 0; r < seq.size(); ++r) {
-                if (seq[r] == s)
-                    continue;
-                seq[w] = seq[r];
-                version[w] = version[r];
-                task[w] = task[r];
-                ++w;
-            }
-            removed = seq.size() - w;
-            seq.resize(w);
-            version.resize(w);
-            task.resize(w);
-        }
+        /** Drop every record whose seq matches, keeping lane order.
+         *  @return the number dropped. */
+        size_t eraseSeq(SeqNum s);
     };
 
-    // The committedVersion lookup alone is ~10% of a fig5 sweep's
-    // profile; none of these maps is ever iterated, so the flat
-    // open-addressed table is safe (and FlatHashMap could not leak
-    // an order anyway -- it has no iteration API).
-    FlatHashMap<Addr, LoadLanes> loads;
-    FlatHashMap<Addr, std::vector<SeqNum>> inflightStores;
-    FlatHashMap<Addr, SeqNum> committedVersion;
+    // All three indexed by address id.
+    std::vector<LoadLanes> loads;
+    std::vector<std::vector<SeqNum>> inflightStores;
+    std::vector<SeqNum> committedVersion;
     size_t numTrackedLoads = 0;
-
-    /** Emptied per-address lane triples, retained for their vector
-     *  capacity.  Per-address load sets empty and refill constantly
-     *  (loads commit fast), and without recycling every refill costs
-     *  three fresh allocations; the freelist keeps the `loads` table
-     *  small (entries still erase on empty) without the malloc
-     *  round-trip.  Never affects results -- recycled lanes are
-     *  empty, only their capacity differs. */
-    std::vector<LoadLanes> laneFreelist;
-};
-
-/**
- * Address-interleaved ARB banks for the manycore configurations: one
- * Arb per shard, selected by block-granular address bits (the same
- * interleave the banked data cache uses), so conflict detection is
- * directory-less -- every probe touches exactly the owning shard and
- * the probe cost is independent of machine size.
- *
- * Sharding is semantically invisible: every Arb operation is a
- * per-address point lookup, and ops on different addresses never
- * interact, so any deterministic address -> shard map yields
- * byte-identical results (randomized equivalence tests pin this).
- */
-class ShardedArb
-{
-  public:
-    /** @param shard_count power of two; @param block_bytes power of
-     *  two, the interleave granularity. */
-    explicit ShardedArb(unsigned shard_count = 1,
-                        unsigned block_bytes = 64)
-        : shards(shard_count), shardMask(shard_count - 1)
-    {
-        while ((1u << blockShift) < block_bytes)
-            ++blockShift;
-    }
-
-    SeqNum
-    loadExecuted(Addr addr, SeqNum load, uint32_t load_task)
-    {
-        return shardFor(addr).loadExecuted(addr, load, load_task);
-    }
-
-    SeqNum
-    storeExecuted(Addr addr, SeqNum store, uint32_t store_task)
-    {
-        return shardFor(addr).storeExecuted(addr, store, store_task);
-    }
-
-    SeqNum
-    findViolator(Addr addr, SeqNum store, uint32_t store_task) const
-    {
-        return shardFor(addr).findViolator(addr, store, store_task);
-    }
-
-    void
-    refreshLoadVersion(Addr addr, SeqNum load, SeqNum version)
-    {
-        shardFor(addr).refreshLoadVersion(addr, load, version);
-    }
-
-    void
-    commitLoad(Addr addr, SeqNum l)
-    {
-        shardFor(addr).commitLoad(addr, l);
-    }
-
-    void
-    commitStore(Addr addr, SeqNum s)
-    {
-        shardFor(addr).commitStore(addr, s);
-    }
-
-    void
-    removeLoad(Addr addr, SeqNum l)
-    {
-        shardFor(addr).removeLoad(addr, l);
-    }
-
-    void
-    removeStore(Addr addr, SeqNum s)
-    {
-        shardFor(addr).removeStore(addr, s);
-    }
-
-    void
-    reset()
-    {
-        for (Arb &s : shards)
-            s.reset();
-    }
-
-    size_t
-    trackedLoads() const
-    {
-        size_t n = 0;
-        for (const Arb &s : shards)
-            n += s.trackedLoads();
-        return n;
-    }
-
-    unsigned shardCount() const { return shards.size(); }
-
-    /** Owning shard index of @p addr (tests / occupancy reporting). */
-    unsigned
-    shardOf(Addr addr) const
-    {
-        return static_cast<unsigned>((addr >> blockShift) & shardMask);
-    }
-
-  private:
-    Arb &shardFor(Addr addr) { return shards[shardOf(addr)]; }
-    const Arb &shardFor(Addr addr) const { return shards[shardOf(addr)]; }
-
-    std::vector<Arb> shards;
-    uint64_t shardMask;
-    unsigned blockShift = 0;
 };
 
 } // namespace mdp

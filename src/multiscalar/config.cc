@@ -1,6 +1,6 @@
 /**
  * @file
- * Config validation and topology/shard resolution.
+ * Config validation and mesh-topology resolution.
  *
  * The model used to accept any parameter values silently -- a zero
  * stage count crashed deep inside the ring arithmetic, a 3x5 mesh
@@ -62,19 +62,6 @@ resolveMeshDims(const MultiscalarConfig &cfg)
     return {mx, my};
 }
 
-unsigned
-resolveArbShards(const MultiscalarConfig &cfg)
-{
-    if (cfg.arbShards != 0)
-        return cfg.arbShards;
-    // Auto: one shard per 8 stages, rounded up to a power of two, so
-    // the paper's 4--8 stage configurations keep a single bank.
-    unsigned shards = 1;
-    while (shards * 8 < cfg.numStages)
-        shards <<= 1;
-    return shards;
-}
-
 void
 validateMultiscalarConfig(const MultiscalarConfig &cfg)
 {
@@ -113,11 +100,6 @@ validateMultiscalarConfig(const MultiscalarConfig &cfg)
     if (cfg.bankBytes < cfg.blockBytes) {
         mdp_fatal("bankBytes must be >= blockBytes=%u (got %u)",
                   cfg.blockBytes, cfg.bankBytes);
-    }
-    if (cfg.arbShards != 0 && !isPowerOfTwo(cfg.arbShards)) {
-        mdp_fatal("arbShards must be 0 (auto) or a power of two "
-                  "(got %u)",
-                  cfg.arbShards);
     }
     // NaN would never mispredict and a rate above 1 always would.
     if (!(cfg.taskMispredictRate >= 0.0 &&

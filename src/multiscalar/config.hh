@@ -66,13 +66,6 @@ struct MultiscalarConfig
     unsigned meshX = 0;
     unsigned meshY = 0;
 
-    /**
-     * Address-interleaved ARB shards (power of two).  0 auto-sizes
-     * from numStages.  Sharding is semantically invisible -- every ARB
-     * operation is a per-address point probe, so results are
-     * byte-identical at every shard count.
-     */
-    unsigned arbShards = 0;
     unsigned squashPenalty = 5;    ///< restart delay after a squash
     unsigned mispredictPenalty = 6; ///< sequencer recovery delay
 
@@ -149,7 +142,7 @@ struct MultiscalarConfig
 constexpr unsigned kMaxStages = 1024;
 
 /**
- * Validate stage/bank/mesh/shard parameters, mdp_fatal (exit 1) with
+ * Validate stage/bank/mesh parameters, mdp_fatal (exit 1) with
  * a precise message on the first violation.  Every model entry point
  * runs this (the MultiscalarProcessor constructor), so a bad config
  * can never silently simulate.
@@ -163,10 +156,6 @@ void validateMultiscalarConfig(const MultiscalarConfig &cfg);
  */
 std::pair<unsigned, unsigned> resolveMeshDims(
     const MultiscalarConfig &cfg);
-
-/** Resolved ARB shard count: arbShards, or the numStages-derived
- *  power-of-two default when 0. */
-unsigned resolveArbShards(const MultiscalarConfig &cfg);
 
 /** Dependence-prediction breakdown in the format of Table 8. */
 struct PredBreakdown

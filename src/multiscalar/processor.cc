@@ -35,7 +35,7 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
       srcArrival(trace.size(), 0), srcPending(task_set.producerCounts()),
       taskRun(task_set.numTasks()), stages(config.numStages),
       memsys(config),
-      arb(resolveArbShards(config), config.blockBytes),
+      arb(dep_oracle.numAddrs()),
       capCycle(config.maxCycles
                    ? config.maxCycles
                    : 1000 + static_cast<uint64_t>(trace.size()) * 60),
@@ -641,7 +641,7 @@ MultiscalarProcessor::executeLoad(SeqNum seq)
     const uint32_t t = trc.taskId(seq);
     state.setDone(seq, memsys.access(addr, cycle, false));
     state.set(seq, kIssued);
-    arb.loadExecuted(addr, seq, t);
+    arb.loadExecuted(oracle.addrId(seq), seq, t);
 
     TaskRun &tr = taskRun[t];
     ++tr.issuedOps;
@@ -665,9 +665,10 @@ MultiscalarProcessor::executeStore(SeqNum seq)
     // Violation check: did a younger load from a later task already
     // read this location?  Benignly absorbed (value-predicted)
     // violations re-scan in case an unpredicted load also raced.
-    SeqNum violator = arb.storeExecuted(addr, seq, t);
+    const AddrId id = oracle.addrId(seq);
+    SeqNum violator = arb.storeExecuted(id, seq, t);
     while (violator != kNoSeq && handleViolation(violator, seq))
-        violator = arb.findViolator(addr, seq, t);
+        violator = arb.findViolator(id, seq, t);
 
     // Wake ideal-sync waiters.  The released load can re-attempt
     // issue this same cycle if its stage is visited later in ring
@@ -1027,7 +1028,7 @@ MultiscalarProcessor::handleViolation(SeqNum load, SeqNum store)
     const bool was_vp = state.test(load, kValuePred);
     if (policy->absorbViolation({lpc, was_vp, repeats})) {
         ++res.valuePredHits;
-        arb.refreshLoadVersion(trc.addr(load), load, store);
+        arb.refreshLoadVersion(oracle.addrId(load), load, store);
         return true;
     }
     if (was_vp)
@@ -1080,9 +1081,9 @@ MultiscalarProcessor::squashFrom(SeqNum squash_start)
                 continue;
             ++res.squashedOps;
             if (trc.isLoad(s))
-                arb.removeLoad(trc.addr(s), s);
+                arb.removeLoad(oracle.addrId(s), s);
             else if (trc.isStore(s))
-                arb.removeStore(trc.addr(s), s);
+                arb.removeStore(oracle.addrId(s), s);
             for (SeqNum q : tasks.consumers(s)) {
                 if (q >= unassigned)
                     resetOperands(q);
@@ -1164,14 +1165,14 @@ MultiscalarProcessor::commitStep()
 
     // Retire memory state and finish prediction accounting.
     for (SeqNum l : tasks.loads(t)) {
-        arb.commitLoad(trc.addr(l), l);
+        arb.commitLoad(oracle.addrId(l), l);
         if (state.test(l, kPredPendingN)) {
             state.clear(l, kPredPendingN);
             classify(l, false, false);
         }
     }
     for (SeqNum s : tasks.stores(t))
-        arb.commitStore(trc.addr(s), s);
+        arb.commitStore(oracle.addrId(s), s);
 
     res.committedOps += size;
     res.committedLoads += tasks.loads(t).size();

@@ -308,7 +308,7 @@ class MultiscalarProcessor : public TaskPcSource
     std::vector<Stage> stages;
 
     MemorySystem memsys;
-    ShardedArb arb;
+    Arb arb;
     std::unique_ptr<DependencePolicy> policy;
     std::unique_ptr<DepSynchronizer> sync;
 

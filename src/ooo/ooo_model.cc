@@ -53,7 +53,7 @@ OooProcessor::OooProcessor(const TraceView &trace,
                            const DepOracle &dep_oracle,
                            const OooConfig &config)
     : trc(trace), oracle(dep_oracle), cfg(validatedConfig(config)),
-      state(trace.size()), instanceOf(trace.size(), 0),
+      state(trace.size()), arb(dep_oracle.numAddrs()),
       capCycle(config.maxCycles
                    ? config.maxCycles
                    : 1000 + static_cast<uint64_t>(trace.size()) * 60),
@@ -65,21 +65,23 @@ OooProcessor::OooProcessor(const TraceView &trace,
     frontierBlocked.reserve(cfg.windowSize);
     syncBlocked.reserve(cfg.windowSize);
 
-    // Number dynamic instances per static PC (paper footnote 2).  A
-    // precomputed numbering behaves like checkpointed counters: squash
-    // and re-execution see the same instance number.
+    policy = makeDependencePolicy(
+        resolvePolicyName(cfg.policyName, cfg.policy));
+    if (!policy->needsSynchronizer())
+        return;
+    sync = policy->makeSyncUnit(cfg.sync, cfg.organization,
+                                ModelKind::Superscalar, 0);
+
+    // Number dynamic instances per static PC (paper footnote 2); only
+    // the sync unit reads them.  A precomputed numbering behaves like
+    // checkpointed counters: squash and re-execution see the same
+    // instance number.
+    instanceOf.assign(trc.size(), 0);
     FlatHashMap<Addr, uint32_t> counters;
     counters.reserve(1 + (oracle.loads().size() + oracle.stores().size()) / 8);
     for (SeqNum s = 0; s < trc.size(); ++s) {
         if (trc.isMemOp(s))
             instanceOf[s] = counters[trc.pc(s)]++;
-    }
-
-    policy = makeDependencePolicy(
-        resolvePolicyName(cfg.policyName, cfg.policy));
-    if (policy->needsSynchronizer()) {
-        sync = policy->makeSyncUnit(cfg.sync, cfg.organization,
-                                    ModelKind::Superscalar, 0);
     }
 }
 
@@ -225,7 +227,7 @@ OooProcessor::executeLoad(SeqNum seq)
 {
     state.setDone(seq, cycle + memLatency(seq));
     state.set(seq, kIssued);
-    arb.loadExecuted(trc.addr(seq), seq, /*load_task=*/seq);
+    arb.loadExecuted(oracle.addrId(seq), seq, /*load_task=*/seq);
 }
 
 void
@@ -236,7 +238,8 @@ OooProcessor::executeStore(SeqNum seq)
     state.set(seq, kIssued);
 
     // Per-op "tasks" make every inter-op violation visible.
-    SeqNum violator = arb.storeExecuted(addr, seq, /*store_task=*/seq);
+    SeqNum violator =
+        arb.storeExecuted(oracle.addrId(seq), seq, /*store_task=*/seq);
     if (violator != kNoSeq)
         handleViolation(violator);
 
@@ -282,9 +285,9 @@ OooProcessor::handleViolation(SeqNum load)
         if (state.test(s, kIssued)) {
             ++res.squashedOps;
             if (trc.isLoad(s))
-                arb.removeLoad(trc.addr(s), s);
+                arb.removeLoad(oracle.addrId(s), s);
             else if (trc.isStore(s))
-                arb.removeStore(trc.addr(s), s);
+                arb.removeStore(oracle.addrId(s), s);
         }
         state.resetOp(s);
     }
@@ -510,10 +513,10 @@ OooProcessor::simulateCycle(SeqNum n)
         if (!state.test(head, kIssued) || state.done(head) > cycle)
             break;
         if (trc.isLoad(head)) {
-            arb.commitLoad(trc.addr(head), head);
+            arb.commitLoad(oracle.addrId(head), head);
             ++res.committedLoads;
         } else if (trc.isStore(head)) {
-            arb.commitStore(trc.addr(head), head);
+            arb.commitStore(oracle.addrId(head), head);
         }
         ++res.committedOps;
         ++head;

@@ -174,7 +174,8 @@ class OooProcessor
     /** Per-op completion-time and status lanes (SoA; the dense scans
      *  run as compare-mask kernels over the packed lanes). */
     OpLanes state;
-    /** Per-PC instance number of each memory op (precomputed). */
+    /** Per-PC instance number of each memory op (precomputed; empty
+     *  unless the policy has a sync unit, its only reader). */
     std::vector<uint32_t> instanceOf;
 
     Arb arb;

@@ -6,12 +6,15 @@
  * address (the load's true producer).  The oracle is what the idealized
  * policies (PSYNC, WAIT-with-perfect-prediction) consult, what the
  * "unrealistic OoO" window model of section 5 counts with, and what the
- * Multiscalar ARB uses to attribute violations.
+ * Multiscalar ARB uses to attribute violations.  The same walk numbers
+ * the stored-to addresses densely, so the ARB indexes per-address
+ * state directly instead of hashing.
  */
 
 #ifndef MDP_TRACE_DEP_ORACLE_HH
 #define MDP_TRACE_DEP_ORACLE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -65,6 +68,18 @@ class DepOracle
     /** Dependence distance in tasks (0 when intra-task / no producer). */
     uint32_t taskDistance(SeqNum load_seq) const;
 
+    /**
+     * Dense id of the address @p seq accesses, assigned in first-store
+     * order so that equal addresses share an id.  A store always has
+     * one.  A load has its address's id when an older store wrote that
+     * address, and kNoAddr otherwise (as does every non-memory op);
+     * the ARB need not track such a load (see Arb).
+     */
+    AddrId addrId(SeqNum seq) const { return addrIds[seq]; }
+
+    /** Number of distinct stored-to addresses: ids are < this. */
+    size_t numAddrs() const { return numIds; }
+
     /** All loads of the trace, in program order. */
     const std::vector<SeqNum> &loads() const { return loadSeqs; }
 
@@ -75,6 +90,9 @@ class DepOracle
     TraceView trc;
     /** Indexed by sequence number; only meaningful at load positions. */
     std::vector<SeqNum> producers;
+    /** Indexed by sequence number; kNoAddr off the id space. */
+    std::vector<AddrId> addrIds;
+    size_t numIds = 0;
     std::vector<SeqNum> loadSeqs;
     std::vector<SeqNum> storeSeqs;
 };

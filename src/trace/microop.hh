@@ -29,6 +29,12 @@ constexpr SeqNum kNoSeq = std::numeric_limits<SeqNum>::max();
 /** Instruction address. */
 using Addr = uint64_t;
 
+/** Dense per-trace id of a stored-to address (DepOracle::addrId). */
+using AddrId = uint32_t;
+
+/** Sentinel meaning "no older store wrote this address". */
+constexpr AddrId kNoAddr = std::numeric_limits<AddrId>::max();
+
 /** Instruction classes, matching the functional units of Table 2. */
 enum class OpKind : uint8_t
 {

@@ -10,8 +10,8 @@
  * Part 2 runs the Multiscalar model with the frontier on and off
  * (cfg.perPeFrontier, the MDP_FRONTIER_REFERENCE kill-switch path)
  * over randomized traces spanning registry policies, both topologies,
- * stage counts up to 64, control mispredictions (the squash /
- * frontier-invalidation path) and ARB shard counts, and requires every
+ * stage counts up to 256 and control mispredictions (the squash /
+ * frontier-invalidation path), and requires every
  * observable SimResult field -- including cyclesSimulated and
  * cyclesSkipped, which the stdout tables print -- to be identical.
  * stageVisits/stageSlots are deliberately excluded: they are
@@ -313,8 +313,7 @@ expectSimEqual(const SimResult &ref, const SimResult &fr)
 SimResult
 runMode(const TraceView &trc, const DepOracle &oracle,
         const TaskSet &tasks, const std::string &policy, Topology topo,
-        unsigned stages, bool frontier, double mispredict_rate = 0.0,
-        unsigned arb_shards = 0)
+        unsigned stages, bool frontier, double mispredict_rate = 0.0)
 {
     MultiscalarConfig cfg;
     cfg.numStages = stages;
@@ -322,7 +321,6 @@ runMode(const TraceView &trc, const DepOracle &oracle,
     cfg.policyName = policy;
     cfg.perPeFrontier = frontier;
     cfg.taskMispredictRate = mispredict_rate;
-    cfg.arbShards = arb_shards;
     cfg.sync.slotsPerEntry = std::min(stages, 64u);
     cfg.logMisSpeculations = true;
     MultiscalarProcessor proc(trc, oracle, tasks, cfg);
@@ -386,29 +384,6 @@ TEST(FrontierEquiv, SquashesAndControlMispredicts)
             SimResult fr = runMode(view, oracle, tasks, "always",
                                    Topology::Ring, stages, true, rate);
             expectSimEqual(ref, fr);
-        }
-    }
-}
-
-TEST(FrontierEquiv, ArbShardingIsSemanticallyInvisible)
-{
-    // The sharded ARB must be invisible at every shard count, in both
-    // scheduler modes: compare auto (0), single-bank, and 8-way
-    // explicitly, all against the single-bank reference-scheduler run.
-    Trace trc = randomTrace(7);
-    TraceView view(trc);
-    DepOracle oracle(view);
-    TaskSet tasks(view);
-    SimResult base = runMode(view, oracle, tasks, "always",
-                             Topology::Ring, 64, false, 0.0, 1);
-    for (bool frontier : {false, true}) {
-        for (unsigned shards : {0u, 1u, 8u}) {
-            SCOPED_TRACE(testing::Message() << "frontier=" << frontier
-                                            << " shards=" << shards);
-            SimResult r = runMode(view, oracle, tasks, "always",
-                                  Topology::Ring, 64, frontier, 0.0,
-                                  shards);
-            expectSimEqual(base, r);
         }
     }
 }

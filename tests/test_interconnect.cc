@@ -7,9 +7,9 @@
  * exactly: ring hops are task distance (additive along the ring), mesh
  * hops are dimension-ordered XY distance plus one grid diameter per
  * full revolution of the task distance.  Validation is exercised
- * through death tests -- a bad stage count, a non-factoring mesh grid
- * or a non-power-of-two shard count must exit(1) with the offending
- * value in the message, never simulate.
+ * through death tests -- a bad stage count or a non-factoring mesh
+ * grid must exit(1) with the offending value in the message, never
+ * simulate.
  */
 
 #include <gtest/gtest.h>
@@ -173,23 +173,6 @@ TEST(Interconnect, MeshPartialDimsResolveFromStages)
     EXPECT_EQ(my2, 8u);
 }
 
-TEST(Interconnect, ArbShardsAutoSizeWithStages)
-{
-    MultiscalarConfig cfg;
-    // One shard per 8 stages, rounded up to a power of two.
-    cfg.numStages = 8;
-    EXPECT_EQ(resolveArbShards(cfg), 1u);
-    cfg.numStages = 64;
-    EXPECT_EQ(resolveArbShards(cfg), 8u);
-    cfg.numStages = 256;
-    EXPECT_EQ(resolveArbShards(cfg), 32u);
-    cfg.numStages = 1024;
-    EXPECT_EQ(resolveArbShards(cfg), 128u);
-    // An explicit count wins.
-    cfg.arbShards = 4;
-    EXPECT_EQ(resolveArbShards(cfg), 4u);
-}
-
 // --------------------------------------------------------------------
 // Validation death tests
 // --------------------------------------------------------------------
@@ -222,15 +205,6 @@ TEST(InterconnectDeath, NonFactoringMeshGrid)
     EXPECT_EXIT(validateMultiscalarConfig(cfg),
                 testing::ExitedWithCode(1),
                 "meshY=5 does not divide numStages=16");
-}
-
-TEST(InterconnectDeath, NonPowerOfTwoArbShards)
-{
-    MultiscalarConfig cfg;
-    cfg.arbShards = 3;
-    EXPECT_EXIT(validateMultiscalarConfig(cfg),
-                testing::ExitedWithCode(1),
-                "arbShards must be 0 .auto. or a power of two");
 }
 
 TEST(InterconnectDeath, DegenerateStageParameters)

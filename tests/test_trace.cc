@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
+#include <vector>
 
 #include "base/random.hh"
 #include "trace/builder.hh"
@@ -285,6 +287,62 @@ TEST(DepOracle, MatchesBruteForceOnRandomTraces)
                     expect = s;
             EXPECT_EQ(o.producer(l), expect);
         }
+    }
+}
+
+/** Property: address ids agree with a naive scan.  Ids are dense in
+ *  [0, numAddrs), handed out in first-store order, equal exactly for
+ *  equal addresses; a load gets its address's id iff an older store
+ *  wrote that address, and kNoAddr otherwise. */
+TEST(DepOracle, AddrIdsMatchNaiveScan)
+{
+    Pcg32 rng(4242);
+    for (int trial = 0; trial < 20; ++trial) {
+        TraceBuilder b("r");
+        b.beginTask(1);
+        for (int i = 0; i < 300; ++i) {
+            if (i % 40 == 39)
+                b.beginTask(1 + i);
+            // Addresses 20..23 are only ever loaded.
+            const uint32_t slot = rng.below(24);
+            const Addr a = 0x100 + slot * 8;
+            if (slot >= 20 || rng.chance(0.5))
+                b.load(1, a);
+            else if (rng.chance(0.8))
+                b.store(2, a);
+            else
+                b.alu(3);
+        }
+        Trace t = b.take();
+        DepOracle o(t);
+
+        std::vector<Addr> id_addr;   // naive: the address of each id
+        for (SeqNum s = 0; s < t.size(); ++s) {
+            const AddrId id = o.addrId(s);
+            if (t[s].isStore()) {
+                auto it = std::find(id_addr.begin(), id_addr.end(),
+                                    t[s].addr);
+                if (it == id_addr.end()) {
+                    EXPECT_EQ(id, id_addr.size()) << "seq " << s;
+                    id_addr.push_back(t[s].addr);
+                } else {
+                    EXPECT_EQ(id, it - id_addr.begin()) << "seq " << s;
+                }
+            } else if (t[s].isLoad()) {
+                SeqNum older = kNoSeq;
+                for (SeqNum q = 0; q < s; ++q)
+                    if (t[q].isStore() && t[q].addr == t[s].addr)
+                        older = q;
+                EXPECT_EQ(o.producer(s), older) << "seq " << s;
+                if (older == kNoSeq)
+                    EXPECT_EQ(id, kNoAddr) << "seq " << s;
+                else
+                    EXPECT_EQ(id, o.addrId(older)) << "seq " << s;
+            } else {
+                EXPECT_EQ(id, kNoAddr) << "seq " << s;
+            }
+        }
+        EXPECT_EQ(o.numAddrs(), id_addr.size());
     }
 }
 
